@@ -25,7 +25,7 @@ from .experiments import (
     TrialPlan,
 )
 from .lincheck import CheckReport, Verdict, check_synchronizing, linear_check
-from .pairgraph import OracleCapExceeded, synch_slow
+from .pairgraph import ORACLE_BYTE_BUDGET, OracleCapExceeded, synch_slow
 
 ENV_ORACLE_CAP = "SYNCHK_ORACLE_CAP"
 
@@ -71,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--no-pretest", action="store_true",
                    help="skip the whole-alphabet sink-component pretest")
     c.add_argument("--oracle-cap", type=int, default=None,
-                   help=f"max n for the quadratic oracle (or ${ENV_ORACLE_CAP})")
+                   help=f"max n for the quadratic oracle (or ${ENV_ORACLE_CAP}); by "
+                        f"default it refuses inputs estimated to need over "
+                        f"{ORACLE_BYTE_BUDGET / 2**30:g} GiB")
 
     g = sub.add_parser("gen", help="generate a uniform random automaton")
     g.add_argument("-n", type=int, required=True)

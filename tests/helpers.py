@@ -62,6 +62,26 @@ def all_permutations(n):
     return [list(p) for p in permutations(range(n))]
 
 
+def cerny(n):
+    """The Cerny automaton C_n: letter 0 rotates the states, letter 1 sends
+    0 to 1 and fixes the rest.  Synchronizing, with a shortest reset word of
+    length (n-1)^2, so its pair-graph BFS is about n^2/2 levels deep."""
+    return Automaton(n, 2, [((q + 1) % n, 1 % n if q == 0 else q) for q in range(n)])
+
+
+def random_cover(base, k, rng):
+    """A random 2-fold cover on 2*base states, never synchronizing.
+
+    State 2q+i goes under letter a to 2B(q, a) + (i xor V(q, a)) for a random
+    base automaton B and random bits V, so every letter maps each fibre
+    {2q, 2q+1} onto a fibre and no word merges a fibre pair.
+    """
+    lift = [[(rng.randrange(base), rng.randrange(2)) for _ in range(k)]
+            for _ in range(base)]
+    flat = [2 * b + (i ^ v) for q in range(base) for i in (0, 1) for b, v in lift[q]]
+    return Automaton(2 * base, k, flat)
+
+
 def validate_cluster_structure(cs, f, n):
     """Assert every structural invariant of a one-letter decomposition.
 

@@ -1,12 +1,34 @@
 """Quadratic oracle: agreement with brute force, invariances, the size cap."""
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from synchk import pairgraph
 from synchk.automaton import Automaton, generate_uniform
-from synchk.pairgraph import DEFAULT_ORACLE_CAP, OracleCapExceeded, mergeable_pairs, synch_slow
+from synchk.pairgraph import (
+    DEFAULT_ORACLE_CAP, ORACLE_BYTE_BUDGET, OracleCapExceeded, mergeable_pairs, synch_slow)
 
-from helpers import all_permutations, brute_force_synchronizing, enumerate_automata, relabel
+from helpers import (
+    all_permutations, brute_force_synchronizing, cerny, enumerate_automata, random_cover,
+    relabel)
+
+# (NUMPY_MIN_N, WIDE_MIN) for each way through the oracle: the Python CSR
+# builder, then the NumPy one with the default BFS switch, with every level
+# expanded in NumPy, and with the whole BFS in the scalar queue.
+ORACLE_PATHS = {
+    "python": (10**9, pairgraph.WIDE_MIN),
+    "numpy": (0, pairgraph.WIDE_MIN),
+    "numpy-wide": (0, 1),
+    "numpy-narrow": (0, 10**9),
+}
+
+
+def _force_path(monkeypatch, name):
+    min_n, wide = ORACLE_PATHS[name]
+    monkeypatch.setattr(pairgraph, "NUMPY_MIN_N", min_n)
+    monkeypatch.setattr(pairgraph, "WIDE_MIN", wide)
 
 
 def test_known_positive(cerny4):
@@ -39,29 +61,37 @@ def test_mergeable_pairs_extremes(cerny4, two_shifts):
     assert mergeable_pairs(two_shifts) == {(q, q) for q in range(n)}
 
 
-def test_mergeable_pairs_characterizes_synch():
+def test_mergeable_pairs_characterizes_synch(monkeypatch):
     rng = random.Random(4242)
     for _ in range(200):
         n = rng.randint(2, 8)
         k = rng.randint(1, 3)
         A = generate_uniform(n, k, rng.getrandbits(48))
         full = n * (n + 1) // 2
-        assert (len(mergeable_pairs(A)) == full) == synch_slow(A)
+        for path in ORACLE_PATHS:
+            _force_path(monkeypatch, path)
+            assert (len(mergeable_pairs(A)) == full) == synch_slow(A), path
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-def test_exhaustive_vs_brute_force(n, k):
+def test_exhaustive_vs_brute_force(n, k, monkeypatch):
     for A in enumerate_automata(n, k):
-        assert synch_slow(A) == brute_force_synchronizing(A), A.delta
+        truth = brute_force_synchronizing(A)
+        for path in ORACLE_PATHS:
+            _force_path(monkeypatch, path)
+            assert synch_slow(A) == truth, (path, A.delta)
 
 
-def test_random_vs_brute_force():
+def test_random_vs_brute_force(monkeypatch):
     rng = random.Random(99)
     for _ in range(300):
         n = rng.randint(2, 6)
         k = rng.randint(1, 3)
         A = generate_uniform(n, k, rng.getrandbits(48))
-        assert synch_slow(A) == brute_force_synchronizing(A), A.delta
+        truth = brute_force_synchronizing(A)
+        for path in ORACLE_PATHS:
+            _force_path(monkeypatch, path)
+            assert synch_slow(A) == truth, (path, A.delta)
 
 
 def test_relabeling_invariance():
@@ -75,12 +105,99 @@ def test_relabeling_invariance():
             assert synch_slow(relabel(A, perm)) == v
 
 
+def _structured_cases():
+    """(automaton, known verdict or None) on both sides of NUMPY_MIN_N."""
+    rng = random.Random(2024)
+    # C_n: a BFS about n^2/2 levels deep, one pair wide
+    for n in (1, 2, 3, 15, 17, 40, 60):
+        yield relabel(cerny(n), rng.sample(range(n), n)), True
+    for base, k in ((1, 1), (1, 2), (3, 5), (8, 2), (9, 1), (30, 2), (40, 5)):
+        A = random_cover(base, k, rng)
+        yield relabel(A, rng.sample(range(A.n), A.n)), False
+    for n in (1, 2, 7, 15, 16, 17, 90):
+        for k in (1, 2, 5):
+            A = generate_uniform(n, k, rng.getrandbits(48))
+            yield A, brute_force_synchronizing(A) if n <= 7 else None
+
+
+def test_oracle_paths_agree_on_every_pair(monkeypatch):
+    """Both CSR builders, every BFS mode and both index widths give the same
+    reached array, and the verdict is the known one."""
+    for A, truth in _structured_cases():
+        reached = {}
+        for name in ORACLE_PATHS:
+            _force_path(monkeypatch, name)
+            reached[name] = bytes(pairgraph._pair_reach(A, None))
+        monkeypatch.setattr(pairgraph, "_index_dtype", lambda m, k: np.dtype(np.int64))
+        for name in ("numpy", "numpy-wide"):
+            _force_path(monkeypatch, name)
+            reached[name + "-int64"] = bytes(pairgraph._pair_reach(A, None))
+        monkeypatch.undo()
+        reached["default"] = bytes(pairgraph._pair_reach(A, None))
+        assert len(set(reached.values())) == 1, (A.n, A.k, A.delta)
+        if truth is not None:
+            assert synch_slow(A) == truth, A.delta
+        # mergeable_pairs lists exactly the reached triangular indices
+        flags = reached["python"]
+        want = {(q, p) for p in range(A.n) for q in range(p + 1) if flags[p * (p + 1) // 2 + q]}
+        assert mergeable_pairs(A) == want
+
+
+def test_index_dtype_widens_before_int32_wraps():
+    # pair ids and CSR offsets reach m*k, which int32 holds only below 2**31
+    def m(n):
+        return n * (n + 1) // 2
+    assert pairgraph._index_dtype(m(46340), 2) == np.int32
+    assert pairgraph._index_dtype(m(46341), 2) == np.int64
+    assert pairgraph._index_dtype(2**31 - 1, 1) == np.int32
+    assert pairgraph._index_dtype(2**31, 1) == np.int64
+    assert pairgraph._index_dtype(m(70000), 1) == np.int64
+    assert pairgraph._index_dtype(m(1000), 5) == np.int32
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_memory_estimate_bounds_the_allocations(k):
+    A = generate_uniform(1000, k, 5)
+    tracemalloc.start()
+    try:
+        synch_slow(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = pairgraph._oracle_bytes(1000, k)
+    assert 0.9 * estimate <= peak <= estimate
+
+
+def test_default_budget(monkeypatch):
+    # the budget admits n = 1000 at k = 2 and never more than 20000 states
+    assert pairgraph._oracle_bytes(1000, 2) <= ORACLE_BYTE_BUDGET
+    assert DEFAULT_ORACLE_CAP <= 20000
+    caps = [pairgraph._default_cap(k) for k in (1, 2, 4, 5)]
+    assert caps == sorted(caps, reverse=True) and caps[0] == DEFAULT_ORACLE_CAP
+    for k, cap in zip((1, 2, 4, 5), caps):
+        assert pairgraph._oracle_bytes(cap, k) <= ORACLE_BYTE_BUDGET
+        assert pairgraph._oracle_bytes(cap + 1, k) > ORACLE_BYTE_BUDGET
+
+    # refused before anything is allocated, though below DEFAULT_ORACLE_CAP
+    def no_alloc(A, m):
+        raise AssertionError("the oracle allocated past its budget")
+    monkeypatch.setattr(pairgraph, "_csr_numpy", no_alloc)
+    n = caps[2] + 1
+    with pytest.raises(OracleCapExceeded) as exc:
+        synch_slow(generate_uniform(n, 4, 0))
+    assert n < DEFAULT_ORACLE_CAP
+    assert exc.value.cap == caps[2]
+    assert exc.value.nbytes == pairgraph._oracle_bytes(n, 4) > ORACLE_BYTE_BUDGET
+    assert "GB" in str(exc.value)
+
+
 def test_cap_raises():
     A = generate_uniform(11, 1, 0)
     with pytest.raises(OracleCapExceeded) as exc:
         synch_slow(A, cap=10)
     assert exc.value.n == 11
     assert exc.value.cap == 10
+    assert exc.value.nbytes == pairgraph._oracle_bytes(11, 1)
     with pytest.raises(OracleCapExceeded):
         mergeable_pairs(A, cap=5)
 
