@@ -28,12 +28,8 @@ from .lincheck import (
     FailReason,
     PairOutcome,
     Verdict,
-    analyze_scc,
-    binary_linear_check,
-    build_cluster_structure,
     check_synchronizing,
     linear_check,
-    shift_exists,
 )
 from .pairgraph import DEFAULT_ORACLE_CAP, OracleCapExceeded, mergeable_pairs, synch_slow
 
@@ -53,12 +49,8 @@ __all__ = [
     "FailReason",
     "PairOutcome",
     "Verdict",
-    "analyze_scc",
-    "binary_linear_check",
-    "build_cluster_structure",
     "check_synchronizing",
     "linear_check",
-    "shift_exists",
     "BenchRow",
     "CrossoverResult",
     "CrossoverRow",

@@ -85,12 +85,6 @@ class Automaton:
             raise ValueError(f"letter {a} out of range")
         return self.delta[q * self.k + a]
 
-    def row(self, q: int) -> tuple:
-        """All successors of state q, indexed by letter."""
-        if not 0 <= q < self.n:
-            raise ValueError(f"state {q} out of range")
-        return self.delta[q * self.k : (q + 1) * self.k]
-
     def column(self, a: int) -> list:
         """The action of letter a as a list: column(a)[q] is q's successor."""
         if not 0 <= a < self.k:

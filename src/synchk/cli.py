@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gen-seed", type=int, default=None, help="seed for --gen-n")
     c.add_argument("--method", choices=("auto", "linear-only", "quadratic"), default="auto")
     c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--no-pretest", action="store_true",
-                   help="skip the whole-alphabet sink-component pretest")
     c.add_argument("--oracle-cap", type=int, default=None,
                    help=f"max n for the quadratic oracle (or ${ENV_ORACLE_CAP}); by "
                         f"default it refuses inputs estimated to need over "
@@ -166,14 +164,13 @@ def _report_json(A, report: CheckReport, elapsed: float) -> str:
 def _cmd_check(args) -> int:
     A = _load_automaton(args)
     cap = _resolve_cap(args.oracle_cap)
-    pretest = not args.no_pretest
     t0 = time.perf_counter()
     if args.method == "quadratic":
         report = CheckReport(synch_slow(A, cap=cap), "quadratic", ())
     elif args.method == "linear-only":
-        report = linear_check(A, pretest=pretest)
+        report = linear_check(A)
     else:
-        report = check_synchronizing(A, pretest=pretest, oracle_cap=cap)
+        report = check_synchronizing(A, oracle_cap=cap)
     elapsed = time.perf_counter() - t0
 
     if args.format == "json":

@@ -1,8 +1,9 @@
 """Linear expected-time synchronizability check.
 
-The checker never proves non-synchronizability beyond the sink-component test;
-instead it runs a pipeline of structural guards on the functional graphs of a
-two-letter automaton.  When every guard passes, the automaton is synchronizing.
+The checker proves non-synchronizability only by the sink-component test and,
+up to CERTIFIED_MAX_N states, the pair-graph certificate; otherwise it runs a
+pipeline of structural guards on the functional graphs of a two-letter
+automaton.  When every guard passes, the automaton is synchronizing.
 When one fails, the outcome is a LinearFail carrying the reason, and the caller
 is expected to fall back to the quadratic oracle.  Each guard is O(n) or
 sublinear and is designed to fail only rarely on uniform random input, which
@@ -40,25 +41,6 @@ __all__ = [
     "CheckOutcome",
     "PairOutcome",
     "CheckReport",
-    "SccAnalysis",
-    "ClusterStructure",
-    "TallestBranchInfo",
-    "StablePairSet",
-    "ClusterGraph",
-    "analyze_scc",
-    "build_cluster_structure",
-    "cluster_count_ok",
-    "find_tallest_branch",
-    "stable_seed",
-    "multiply_stable_pairs",
-    "large_state_mask",
-    "build_cluster_graph",
-    "check_cluster_graph",
-    "check_cycle_majority",
-    "check_two_cycles",
-    "cycle_closure_flags",
-    "check_cycle_pairs",
-    "shift_exists",
     "binary_linear_check",
     "linear_check",
     "check_synchronizing",
@@ -100,8 +82,10 @@ class FailReason(Enum):
 class CheckOutcome:
     """Outcome of one two-letter pipeline run.
 
-    LINEAR_FAIL carries exactly one reason plus the pipeline stage tag;
-    the other verdicts carry neither.
+    LINEAR_FAIL carries exactly one reason plus the pipeline stage tag.
+    NOT_SYNCHRONIZING carries no reason and the step that decided it:
+    "scc" (two or more sink components) or "certificate" (the small-size
+    pair-graph check).  SYNCHRONIZING carries neither.
     """
 
     verdict: Verdict
@@ -456,13 +440,6 @@ def tallest_branch_candidates(cs0: ClusterStructure, cs1: ClusterStructure):
     return out
 
 
-def find_tallest_branch(cs0: ClusterStructure, cs1: ClusterStructure):
-    """First qualifying letter's branch info, or None when neither letter has
-    a unique tallest branch (e.g. two permutation letters have no branches)."""
-    cands = tallest_branch_candidates(cs0, cs1)
-    return cands[0] if cands else None
-
-
 # ---------------------------------------------------------------------------
 # step 4: the seed pair
 
@@ -561,127 +538,59 @@ def large_state_mask(cs: ClusterStructure, n: int) -> bytearray:
     return bytearray(big[c] for c in cs.cluster)
 
 
-@dataclass
-class ClusterGraph:
-    """Graph on large clusters induced by stable pairs.
+def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
+    """Guard for one letter: large clusters (size > n^0.45) exist, the stable
+    pairs connect the large clusters they touch, and the pairs' residuals
+    generate Z_d, d the gcd of the large clusters' cycle lengths.  Returns a
+    FailReason or None for pass.
 
-    Each pair whose entries both sit in large clusters contributes the edge
-    (cluster of s, cluster of t, s, t); loops and parallel edges are kept.
-    ``tree_idx`` indexes the union-find spanning forest inside ``edges``.
-    When the gcd d of the large clusters' cycle lengths exceeds 1, ``labels``
-    maps every large cluster to a residue mod d, propagated along tree edges
-    so that label(c') - label(c) = height(t) - height(s) (mod d).
+    A pair (s, t) between large clusters asks for residue labels with
+    label(c2) - label(c1) = height(t) - height(s) (mod d).  One union-find
+    pass keeps each cluster's label relative to its parent: a pair joining
+    two trees fixes one root's label against the other, and a pair inside a
+    tree leaves a residual, the amount by which it breaks that labelling.
+    The trees need no path compression: in the pipeline they have at most
+    5 ln n nodes.  A broken congruence is the good case: it certifies
+    progress across the residue obstruction.  Each residual only buys
+    alignment shifts by itself, so together they must generate all of Z_d;
+    a d=4 graph with a lone residual of 2 still has an untouched parity
+    invariant.
     """
-
-    letter: int
-    large: tuple
-    edges: tuple
-    tree_idx: frozenset
-    connected: bool
-    d: int
-    labels: Optional[dict]
-
-
-def build_cluster_graph(cs: ClusterStructure, pairs, n: int) -> ClusterGraph:
     thr = n ** 0.45
-    sizes = cs.sizes
-    is_large = [sz > thr for sz in sizes]
-    large = tuple(c for c in range(len(sizes)) if is_large[c])
+    is_large = [sz > thr for sz in cs.sizes]
+    d = reduce(math.gcd, (len(cyc) for cyc, big in zip(cs.cycles, is_large) if big), 0)
+    if d == 0:  # cycle lengths are positive, so no cluster is large
+        return FailReason.NO_LARGE_CLUSTERS
     cluster = cs.cluster
-
-    parent = {c: c for c in large}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    edges = []
-    tree_idx = set()
+    h = cs.height
+    parent = {}  # non-root cluster -> (parent, its label minus the parent's)
     touched = set()
-    for s, t in pairs:
+    merges = 0
+    gen = d
+    for s, t in z.pairs:
         c1, c2 = cluster[s], cluster[t]
         if not (is_large[c1] and is_large[c2]):
             continue
-        ei = len(edges)
-        edges.append((c1, c2, s, t))
         touched.add(c1)
         touched.add(c2)
-        r1, r2 = find(c1), find(c2)
-        if r1 != r2:
-            parent[r1] = r2
-            tree_idx.add(ei)
-
+        offset = h[t] - h[s]
+        while c1 in parent:
+            c1, rel = parent[c1]
+            offset += rel
+        while c2 in parent:
+            c2, rel = parent[c2]
+            offset -= rel
+        if c1 != c2:
+            parent[c2] = (c1, offset)
+            merges += 1
+        else:
+            gen = math.gcd(gen, offset)
     # connectivity is asked of the clusters the stable pairs actually reach;
     # a large cluster no pair lands in cannot be glued by any edge choice and
     # only ever shows up through the masks of the later cycle conditions
-    roots = {find(c) for c in touched}
-    connected = len(roots) <= 1
-    d = reduce(math.gcd, (len(cs.cycles[c]) for c in large), 0)
-
-    labels = None
-    if large and d > 1:
-        h = cs.height
-        adj = {c: [] for c in large}
-        for ei in tree_idx:
-            c1, c2, s, t = edges[ei]
-            adj[c1].append((c2, (h[t] - h[s]) % d))
-            adj[c2].append((c1, (h[s] - h[t]) % d))
-        labels = {}
-        for c in large:
-            if c in labels:
-                continue
-            labels[c] = 0
-            stack = [c]
-            while stack:
-                u = stack.pop()
-                lu = labels[u]
-                for v, shift in adj[u]:
-                    if v not in labels:
-                        labels[v] = (lu + shift) % d
-                        stack.append(v)
-    return ClusterGraph(
-        letter=cs.letter,
-        large=large,
-        edges=tuple(edges),
-        tree_idx=frozenset(tree_idx),
-        connected=connected,
-        d=d,
-        labels=labels,
-    )
-
-
-def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
-    """Guard for one letter: large clusters exist, the stable pairs connect
-    them, and for gcd d > 1 at least one non-tree edge breaks its label
-    congruence.  Returns a FailReason or None for pass.
-
-    A broken congruence is the good case: it certifies progress across the
-    residue obstruction, whereas congruences holding everywhere (vacuously or
-    not) leave the letter inconclusive.
-    """
-    g = build_cluster_graph(cs, z.pairs, n)
-    if not g.large:
-        return FailReason.NO_LARGE_CLUSTERS
-    if not g.connected:
+    if len(touched) - merges > 1:
         return FailReason.CLUSTER_GRAPH_DISCONNECTED
-    if g.d == 1:
-        return None
-    h = cs.height
-    labels = g.labels
-    d = g.d
-    # each broken congruence only buys alignment shifts by its own residual,
-    # so the residuals must generate all of Z_d; a d=4 graph with a lone
-    # residual of 2 still has an untouched parity invariant
-    gen = d
-    for ei, (c1, c2, s, t) in enumerate(g.edges):
-        if ei in g.tree_idx:
-            continue
-        gen = math.gcd(gen, (labels[c2] - labels[c1] - (h[t] - h[s])) % d)
-        if gen == 1:
-            return None
-    return FailReason.CONGRUENCES_ALL_HOLD
+    return None if gen == 1 else FailReason.CONGRUENCES_ALL_HOLD
 
 
 # ---------------------------------------------------------------------------
@@ -914,33 +823,43 @@ def binary_linear_check(A) -> CheckOutcome:
     return CheckOutcome(Verdict.SYNCHRONIZING)
 
 
-def linear_check(A, pretest: bool = True) -> CheckReport:
-    """Linear phase for any alphabet: sink pretest over the whole alphabet,
-    then the two-letter pipeline on consecutive letter pairs (0,1), (2,3), ...
+def _sink_negative(A) -> Optional[CheckReport]:
+    """The whole-alphabet negative when A has two or more sink components."""
+    if not analyze_scc(A).multiple_minimal:
+        return None
+    out = CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
+    return CheckReport(False, "linear", (PairOutcome(tuple(range(A.k)), out),))
+
+
+def linear_check(A) -> CheckReport:
+    """Linear phase for any alphabet: the two-letter pipeline on consecutive
+    letter pairs (0,1), (2,3), ..., with the sink-component test over the
+    whole alphabet where the pairs cannot settle it.
 
     ``synchronizing`` is True on the first pipeline proof, False on a
     definitive negative, and None when every pair was inconclusive (the
     caller decides whether to consult the quadratic oracle).  With one letter
-    or n = 2 the phase is at best definitive-negative, never positive.
+    or n = 2 no pipeline runs, and the whole-alphabet sink test is the only
+    possible answer, a negative.  For k > 2 that test runs only when pair
+    (0, 1) finds two sinks: a restriction with a single sink component
+    leaves the full automaton a single one, and two sinks of the full
+    automaton are two sinks of every restriction.
     """
     n, k = A.n, A.k
     if n == 1:
         return CheckReport(True, "linear", ())
-    if n == 2:
-        # the oracle settles n = 2 instantly; only the pretest is worth running
-        if pretest and analyze_scc(A).multiple_minimal:
-            out = CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
-            return CheckReport(False, "linear", (PairOutcome(tuple(range(k)), out),))
-        return CheckReport(None, "linear", ())
-    if pretest and k != 2:  # for k = 2 the pipeline's own sink test is identical
-        if analyze_scc(A).multiple_minimal:
-            out = CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
-            return CheckReport(False, "linear", (PairOutcome(tuple(range(k)), out),))
+    if n == 2 or k == 1:
+        # the oracle settles n = 2 instantly; only the sink test is worth running
+        return _sink_negative(A) or CheckReport(None, "linear", ())
     outcomes = []
     for a in range(0, k - 1, 2):
         b = a + 1
         B = A if k == 2 else A.restrict_letters(a, b)
         out = binary_linear_check(B)
+        if a == 0 and k > 2 and out.step == "scc":
+            negative = _sink_negative(A)
+            if negative is not None:
+                return negative
         outcomes.append(PairOutcome((a, b), out))
         if out.verdict is Verdict.SYNCHRONIZING:
             # a synchronizing restriction synchronizes the full automaton
@@ -951,11 +870,11 @@ def linear_check(A, pretest: bool = True) -> CheckReport:
     return CheckReport(None, "linear", tuple(outcomes))
 
 
-def check_synchronizing(A, pretest: bool = True, oracle_cap: int | None = None) -> CheckReport:
+def check_synchronizing(A, oracle_cap: int | None = None) -> CheckReport:
     """Decide synchronizability: linear phase first, quadratic oracle only
     when the linear phase is indeterminate.  The report's method says which
     side produced the answer."""
-    report = linear_check(A, pretest=pretest)
+    report = linear_check(A)
     if report.synchronizing is not None:
         return report
     return CheckReport(synch_slow(A, cap=oracle_cap), "fallback", report.outcomes)

@@ -6,6 +6,7 @@ graph or the guard pipeline is meaningful evidence rather than the same code
 tested against itself.
 """
 from itertools import permutations, product
+from math import gcd
 
 from synchk.automaton import Automaton
 
@@ -131,4 +132,82 @@ def collect_stable_pairs(A):
         zs = multiply_stable_pairs(A, seed, info.a1, info.a2)
         if zs is not None:
             return zs
+    return None
+
+
+def planted_two_blocks(n, k, closed, rng):
+    """A random automaton whose states split into two non-empty blocks that
+    every letter in ``closed`` maps into themselves; the other letters are
+    uniform.  With every letter closed it has at least two sink components."""
+    block = [0] * n
+    for q in rng.sample(range(n), rng.randint(1, n - 1)):
+        block[q] = 1
+    members = ([q for q in range(n) if not block[q]], [q for q in range(n) if block[q]])
+    flat = [rng.choice(members[block[q]]) if a in closed else rng.randrange(n)
+            for q in range(n) for a in range(k)]
+    return Automaton(n, k, flat)
+
+
+def cycle_structured_function(rng, n):
+    """A random map on n states built cluster by cluster: cycles whose
+    lengths share a small factor, so the cluster graph's gcd is often above
+    1, then (unless cycles fill every state) the remaining states hung as
+    trees on random earlier states.  Short cycles filling every state leave
+    no cluster large."""
+    lengths = rng.choice(((1, 2, 3), (2, 4, 6, 8), (3, 6, 9, 12)))
+    stop = rng.choice((0.0, 0.4))
+    f = [0] * n
+    q = 0
+    while q < n:
+        length = min(rng.choice(lengths), n - q)
+        for j in range(length):
+            f[q + j] = q + (j + 1) % length
+        q += length
+        if rng.random() < stop:
+            break
+    for s in range(q, n):
+        f[s] = rng.randrange(s)
+    return f
+
+
+def cluster_graph_reference(cs, pairs, n):
+    """The cluster-graph guard's outcome, by enumerating residue labellings.
+
+    Large clusters have more than n^0.45 states; a pair (s, t) whose
+    clusters c1, c2 are both large is an edge.  The guard fails with
+    NO_LARGE_CLUSTERS when no cluster is large, CLUSTER_GRAPH_DISCONNECTED
+    when the edges leave the clusters they touch in more than one piece,
+    and CONGRUENCES_ALL_HOLD when, for some prime p dividing the gcd d of
+    the large clusters' cycle lengths, a labelling L of the touched
+    clusters into Z_p has L(c2) - L(c1) = h(t) - h(s) (mod p) on every
+    edge.  Otherwise it passes (None).
+    """
+    from synchk.lincheck import FailReason
+
+    large = {c for c, size in enumerate(cs.sizes) if size > n ** 0.45}
+    if not large:
+        return FailReason.NO_LARGE_CLUSTERS
+    edges = [(cs.cluster[s], cs.cluster[t], cs.height[t] - cs.height[s])
+             for s, t in pairs if cs.cluster[s] in large and cs.cluster[t] in large]
+    touched = sorted({c for c1, c2, _ in edges for c in (c1, c2)})
+    reached = set(touched[:1])
+    grown = True
+    while grown:
+        grown = False
+        for c1, c2, _ in edges:
+            if (c1 in reached) != (c2 in reached):
+                reached |= {c1, c2}
+                grown = True
+    if len(reached) < len(touched):
+        return FailReason.CLUSTER_GRAPH_DISCONNECTED
+    d = 0
+    for c in large:
+        d = gcd(d, len(cs.cycles[c]))
+    for p in range(2, d + 1):
+        if d % p or any(p % r == 0 for r in range(2, p)):
+            continue
+        for labels in product(range(p), repeat=len(touched)):
+            L = dict(zip(touched, labels))
+            if all((L[c2] - L[c1] - dh) % p == 0 for c1, c2, dh in edges):
+                return FailReason.CONGRUENCES_ALL_HOLD
     return None

@@ -18,8 +18,10 @@ from synchk.experiments import (
     required_trials,
 )
 from synchk.lincheck import (
-    build_cluster_graph,
+    FailReason,
+    StablePairSet,
     build_cluster_structure,
+    check_cluster_graph,
     check_synchronizing,
     shift_exists,
 )
@@ -28,7 +30,9 @@ from synchk.pairgraph import mergeable_pairs, synch_slow
 from conftest import ACCEPTANCE_LINES
 from helpers import (
     brute_force_synchronizing,
+    cluster_graph_reference,
     collect_stable_pairs,
+    cycle_structured_function,
     validate_cluster_structure,
 )
 
@@ -180,24 +184,25 @@ def test_criterion_7_property_suite():
     if exercised < 100:
         failures.append(f"stable-pair sweep exercised only {exercised} automata")
 
-    # residue labels satisfy the defining congruence on every tree edge
-    labeled = 0
-    for _ in range(400):
-        n = rng.randint(8, 40)
-        f = [rng.randrange(n) for _ in range(n)]
+    # the cluster-graph guard agrees with enumerating residue labellings, on
+    # random maps and on maps whose cycle lengths share factors (drawn from
+    # their own stream, so the shift sets below stay the same)
+    outcomes = set()
+    structured = random.Random(7)
+    for i in range(800):
+        src = rng if i < 400 else structured
+        n = src.randint(8, 40)
+        f = ([src.randrange(n) for _ in range(n)] if i < 400
+             else cycle_structured_function(src, n))
         cs = build_cluster_structure(Automaton(n, 1, f), 0)
-        pairs = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(8))
-        g = build_cluster_graph(cs, pairs, n)
-        if g.labels is None:
-            continue
-        labeled += 1
-        h = cs.height
-        for ei in g.tree_idx:
-            c1, c2, s, t = g.edges[ei]
-            if (g.labels[c2] - g.labels[c1]) % g.d != (h[t] - h[s]) % g.d:
-                failures.append(f"label congruence at {tuple(f)} pairs {pairs}")
-    if labeled < 20:
-        failures.append(f"label sweep exercised only {labeled} graphs")
+        pairs = tuple((src.randrange(n), src.randrange(n)) for _ in range(8))
+        got = check_cluster_graph(cs, StablePairSet(letter=0, pairs=pairs), n)
+        outcomes.add(got)
+        if got != cluster_graph_reference(cs, pairs, n):
+            failures.append(f"cluster graph at {tuple(f)} pairs {pairs}")
+    if outcomes != {None, FailReason.NO_LARGE_CLUSTERS, FailReason.CONGRUENCES_ALL_HOLD,
+                    FailReason.CLUSTER_GRAPH_DISCONNECTED}:
+        failures.append(f"cluster-graph sweep reached only {outcomes}")
 
     # shift_exists agrees with direct enumeration: every residue set for
     # d <= 6, random residue sets for d up to 12
@@ -215,6 +220,7 @@ def test_criterion_7_property_suite():
                 failures.append(f"shift({I}, {J}, {d})")
 
     record(7, "structural property suite: cluster invariants, stable-pair"
-              " mergeability, residue-label congruences, shift enumeration",
+              " mergeability, cluster-graph guard against labelling"
+              " enumeration, shift enumeration",
            not failures,
            "all properties hold" if not failures else "; ".join(failures[:3]))

@@ -46,13 +46,12 @@ def test_immutability():
 def test_accessors():
     A = Automaton(3, 2, [(1, 2), (0, 0), (2, 1)])
     assert A.target(0, 1) == 2
-    assert A.row(1) == (0, 0)
     assert A.column(0) == [1, 0, 2]
     assert A.column(1) == [2, 0, 1]
     assert A.apply_word(0, []) == 0
     assert A.apply_word(0, [0, 1, 0]) == 1  # 0 -a-> 1 -b-> 0 -a-> 1
     for bad in (lambda: A.target(3, 0), lambda: A.target(0, 2),
-                lambda: A.row(-1), lambda: A.column(5),
+                lambda: A.column(5),
                 lambda: A.apply_word(7, [0]), lambda: A.apply_word(0, [9])):
         with pytest.raises(ValueError):
             bad()

@@ -11,12 +11,13 @@ from synchk.automaton import Automaton, generate_uniform
 from synchk.lincheck import (
     CERTIFIED_MAX_N,
     CheckOutcome,
+    CheckReport,
     FailReason,
+    PairOutcome,
     StablePairSet,
     Verdict,
     analyze_scc,
     binary_linear_check,
-    build_cluster_graph,
     build_cluster_structure,
     check_cluster_graph,
     check_cycle_majority,
@@ -25,7 +26,6 @@ from synchk.lincheck import (
     check_two_cycles,
     cluster_count_ok,
     cycle_closure_flags,
-    find_tallest_branch,
     large_state_mask,
     linear_check,
     multiply_stable_pairs,
@@ -35,7 +35,13 @@ from synchk.lincheck import (
 )
 from synchk.pairgraph import OracleCapExceeded, mergeable_pairs, synch_slow
 
-from helpers import brute_force_synchronizing, collect_stable_pairs, validate_cluster_structure
+from helpers import (
+    brute_force_synchronizing,
+    cluster_graph_reference,
+    collect_stable_pairs,
+    planted_two_blocks,
+    validate_cluster_structure,
+)
 
 
 def random_function(rng, n):
@@ -169,7 +175,6 @@ def test_tallest_branch_fixture(tall_branch_13):
     assert tall_branch_13.target(info.cycle_pred, 0) == tall_branch_13.target(info.root, 0)
     assert info.in_branch(12) and info.in_branch(10)
     assert not info.in_branch(6)
-    assert find_tallest_branch(cs0, cs1) == info
 
 
 def test_tallest_branch_tie_rejected():
@@ -177,7 +182,6 @@ def test_tallest_branch_tie_rejected():
     f = [1, 2, 0, 0, 1]  # 3-cycle, states 3 and 4 hang at height 1
     cs0 = build_cluster_structure(Automaton(5, 1, f), 0)
     assert tallest_branch_candidates(cs0, cs0) == []
-    assert find_tallest_branch(cs0, cs0) is None
 
 
 def test_tallest_branch_both_letters():
@@ -193,7 +197,7 @@ def test_tallest_branch_both_letters():
 def test_stable_seed_accepts_and_rejects(tall_branch_13):
     cs0 = build_cluster_structure(tall_branch_13, 0)
     cs1 = build_cluster_structure(tall_branch_13, 1)
-    info = find_tallest_branch(cs0, cs1)
+    info = tallest_branch_candidates(cs0, cs1)[0]
     scc = analyze_scc(tall_branch_13)
     assert stable_seed(info, scc, cs0) == (0, 10)
 
@@ -203,7 +207,7 @@ def test_stable_seed_accepts_and_rejects(tall_branch_13):
     B = Automaton(13, 2, list(zip(f, [0] * 13)))
     cs0b = build_cluster_structure(B, 0)
     cs1b = build_cluster_structure(B, 1)
-    infob = find_tallest_branch(cs0b, cs1b)
+    infob = tallest_branch_candidates(cs0b, cs1b)[0]
     assert infob.root == 10
     sccb = analyze_scc(B)
     assert sorted(sccb.q0) == [0, 1, 2, 3, 4]
@@ -276,19 +280,29 @@ def two_cycle_graph():
     return build_cluster_structure(Automaton(11, 1, f), 0)
 
 
-def test_cluster_graph_labels(two_cycle_graph):
-    g = build_cluster_graph(two_cycle_graph, ((0, 4), (10, 5)), 11)
-    assert g.large == (0, 1)
-    assert g.connected
-    assert g.d == 2
-    assert g.labels == {0: 0, 1: 0}
-    assert len(g.edges) == 2
-    assert g.tree_idx == frozenset({0})
-    # tree edges satisfy the label relation by construction
-    h = two_cycle_graph.height
-    for ei in g.tree_idx:
-        c1, c2, s, t = g.edges[ei]
-        assert (g.labels[c2] - g.labels[c1]) % g.d == (h[t] - h[s]) % g.d
+@pytest.fixture
+def four_cycles_graph():
+    """One letter, two 4-cycles (d = 4) with hang-off states 8 at height 1
+    and 9 at height 2, so residuals 2 and 3 mod 4 are both reachable."""
+    f = [1, 2, 3, 0, 5, 6, 7, 4, 4, 8]
+    return build_cluster_structure(Automaton(10, 1, f), 0)
+
+
+def test_cluster_graph_matches_reference(two_cycle_graph, four_cycles_graph):
+    # every sequence of one or two pairs over three graphs with d = 2, 4, 3;
+    # the last has two 3-cycles and hang-off states 6 and 7 at heights 1
+    # and 2, where a label's sign shows mod 3
+    three = build_cluster_structure(Automaton(8, 1, [1, 2, 0, 4, 5, 3, 0, 6]), 0)
+    seen = set()
+    for cs in (two_cycle_graph, four_cycles_graph, three):
+        n = len(cs.cluster)
+        singles = [(s, t) for s in range(n) for t in range(n)]
+        for pairs in [(p,) for p in singles] + list(product(singles, repeat=2)):
+            got = check_cluster_graph(cs, StablePairSet(letter=0, pairs=pairs), n)
+            assert got == cluster_graph_reference(cs, pairs, n), (cs.cycles, pairs)
+            seen.add(got)
+    assert seen == {None, FailReason.CLUSTER_GRAPH_DISCONNECTED,
+                    FailReason.CONGRUENCES_ALL_HOLD}
 
 
 def test_cluster_graph_congruence_outcomes(two_cycle_graph):
@@ -307,12 +321,10 @@ def test_cluster_graph_congruence_outcomes(two_cycle_graph):
     assert run(((0, 1), (4, 5))) is FailReason.CLUSTER_GRAPH_DISCONNECTED
 
 
-def test_cluster_graph_residuals_must_generate():
-    # two 4-cycles (d = 4) with hang-off states 8 at height 1 and 9 at
-    # height 2; labels are all 0, so a non-tree pair into height h has
-    # residual -h mod 4
-    f = [1, 2, 3, 0, 5, 6, 7, 4, 4, 8]
-    cs = build_cluster_structure(Automaton(10, 1, f), 0)
+def test_cluster_graph_residuals_must_generate(four_cycles_graph):
+    # labels are all 0 along cycle-to-cycle pairs, so a non-tree pair into
+    # height h has residual -h mod 4
+    cs = four_cycles_graph
     assert cs.cycle_lengths() == [4, 4]
     assert (cs.height[8], cs.height[9]) == (1, 2)
 
@@ -610,10 +622,50 @@ def test_linear_check_negative_only_binding_for_k2(two_shifts):
     g = [0, 1, 2, 3]
     rep = linear_check(Automaton(4, 2, list(zip(g, g))))
     assert rep.synchronizing is False  # identity twice: 4 sink components
-    # a k = 4 automaton with the same dead pair stays indeterminate
+    # a k = 4 automaton with the same dead pair stays indeterminate:
+    # letters 2 and 3 join the four sinks into one
     rows = list(zip(g, g, f, f))
-    rep = linear_check(Automaton(4, 4, rows), pretest=False)
+    rep = linear_check(Automaton(4, 4, rows))
     assert rep.synchronizing is None
+
+
+def test_linear_check_sink_test_sweep():
+    # the whole-alphabet negative appears exactly when the full automaton
+    # has two or more sink components, whichever pair finds them first
+    rng = random.Random(4242)
+    for n in range(1, 15):
+        for k in range(1, 7):
+            whole = CheckReport(False, "linear", (PairOutcome(
+                tuple(range(k)), CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")),))
+            autos = [generate_uniform(n, k, rng.getrandbits(48)) for _ in range(4)]
+            if n >= 2:
+                for closed in (range(k), (0, 1), (1, 2)):
+                    autos += [planted_two_blocks(n, k, closed, rng) for _ in range(3)]
+            for A in autos:
+                rep = linear_check(A)
+                assert (rep == whole) == analyze_scc(A).multiple_minimal, A.delta
+                assert check_synchronizing(A).synchronizing == synch_slow(A), A.delta
+
+
+def test_linear_check_runs_sink_test_lazily(monkeypatch):
+    # alphabet sizes of the automata analyze_scc is called on, in order
+    sizes = []
+    real = analyze_scc
+
+    def counted(A):
+        sizes.append(A.k)
+        return real(A)
+
+    monkeypatch.setattr("synchk.lincheck.analyze_scc", counted)
+    # pair (0, 1) proves it: its own sink test is the only one
+    assert linear_check(generate_uniform(200, 4, 0)).synchronizing is True
+    assert sizes == [2]
+    # pair (0, 1) has four sinks, the whole alphabet one, and pair (2, 3)
+    # runs its own test
+    sizes.clear()
+    g, f = [0, 1, 2, 3], [1, 2, 3, 0]
+    assert linear_check(Automaton(4, 4, list(zip(g, g, f, f)))).synchronizing is None
+    assert sizes == [2, 4, 2]
 
 
 def test_check_synchronizing_methods(cerny4):
