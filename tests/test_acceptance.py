@@ -6,7 +6,9 @@ structural property suite.  Each test records one PASS/FAIL line; the
 conftest terminal-summary hook prints them after the run.
 """
 import math
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 from synchk.automaton import Automaton, generate_uniform
@@ -62,27 +64,39 @@ def test_criterion_1_exhaustive_oracle_equivalence():
            bad == 0, f"{counts}; {bad} disagreements")
 
 
-def test_criterion_2_randomized_oracle_equivalence():
-    runs_per_cell = 10 ** 5
+def _oracle_agreement(n, k, start, stop):
+    """(runs, disagreements, false proofs) over runs start..stop-1 of one
+    (n, k) cell of criterion 2."""
     disagreements = 0
     false_proofs = 0
-    total = 0
-    for k in (1, 2, 3, 5):
-        for n in range(4, 11):
-            for i in range(runs_per_cell):
-                A = generate_uniform(n, k, (20260813, n, k, i))
-                rep = check_synchronizing(A)
-                truth = synch_slow(A)
-                total += 1
-                if rep.synchronizing is not truth:
-                    disagreements += 1
-                # a positive settled by the linear phase is a pipeline proof
-                if rep.method == "linear" and rep.synchronizing and not truth:
-                    false_proofs += 1
+    for i in range(start, stop):
+        A = generate_uniform(n, k, (20260813, n, k, i))
+        rep = check_synchronizing(A)
+        truth = synch_slow(A)
+        if rep.synchronizing is not truth:
+            disagreements += 1
+        # a positive settled by the linear phase is a pipeline proof
+        if rep.method == "linear" and rep.synchronizing and not truth:
+            false_proofs += 1
+    return stop - start, disagreements, false_proofs
+
+
+def test_criterion_2_randomized_oracle_equivalence():
+    runs_per_cell = 10 ** 5
+    chunk = runs_per_cell // 4
+    tasks = [(n, k, start, start + chunk)
+             for k in (5, 3, 2, 1) for n in range(10, 3, -1)
+             for start in range(0, runs_per_cell, chunk)]
+    # the runs are independent, so two worker processes share them; the
+    # costliest cells go first to keep the workers evenly loaded
+    workers = min(2, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(_oracle_agreement, *zip(*tasks)))
+    total, disagreements, false_proofs = (sum(col) for col in zip(*results))
     record(2, "randomized agreement with the pair-graph oracle on 10^5"
               " uniform automata per (n, k) in {4..10} x {1,2,3,5},"
               " with no false pipeline proofs",
-           disagreements == 0 and false_proofs == 0,
+           total == 28 * runs_per_cell and disagreements == 0 and false_proofs == 0,
            f"{total} runs, {disagreements} disagreements,"
            f" {false_proofs} false proofs")
 
