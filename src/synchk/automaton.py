@@ -1,8 +1,12 @@
 """Core automaton type: construction, random generation, restriction, I/O.
 
-States and letters are dense 0-based integers.  The transition table is kept
-as one flat tuple so that hot loops can index ``delta[q * k + a]`` without
-nested list lookups, and single-letter actions come out as cheap slices.
+States and letters are dense 0-based integers.  The transition table has two
+forms, each built from the other on first use and then kept: a flat tuple,
+so that pure-Python loops can index ``delta[q * k + a]`` and take
+single-letter actions as cheap slices, and a read-only (n, k) int32 array
+for the NumPy code.  Generation, the text parser's fast path and letter
+restriction fill the array form only, so a large automaton that never meets
+a Python loop never builds its tuple.
 """
 from __future__ import annotations
 
@@ -22,12 +26,12 @@ class FormatError(ValueError):
 class Automaton:
     """A complete deterministic automaton on n states over k letters.
 
-    ``delta[q * k + a]`` is the successor of state ``q`` under letter ``a``.
-    Instances are immutable; analyses build their own side structures instead
-    of annotating the automaton.
+    ``delta[q * k + a]`` and ``table[q, a]`` are the successor of state ``q``
+    under letter ``a``.  Instances are immutable; analyses build their own
+    side structures instead of annotating the automaton.
     """
 
-    __slots__ = ("n", "k", "delta")
+    __slots__ = ("n", "k", "_delta", "_table")
 
     def __init__(self, n: int, k: int, table: Iterable) -> None:
         if n < 1 or k < 1:
@@ -49,16 +53,39 @@ class Automaton:
                 raise ValueError(f"transition target {v!r} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "delta", flat)
+        object.__setattr__(self, "_delta", flat)
+        object.__setattr__(self, "_table", None)
 
     @classmethod
-    def _raw(cls, n: int, k: int, flat: tuple) -> "Automaton":
-        # internal fast path for tables that are valid by construction
+    def _raw(cls, n: int, k: int, flat: tuple | None = None,
+             table: np.ndarray | None = None) -> "Automaton":
+        # internal fast path for tables that are valid by construction; a
+        # table must be an (n, k) array nobody else writes to
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "delta", flat)
+        object.__setattr__(self, "_delta", flat)
+        if table is not None:
+            table = table.astype(np.int32, copy=False)
+            table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
         return self
+
+    @property
+    def delta(self) -> tuple:
+        """The flat transition tuple: delta[q * k + a] is q's successor under a."""
+        if self._delta is None:
+            object.__setattr__(self, "_delta", tuple(self._table.reshape(-1).tolist()))
+        return self._delta
+
+    @property
+    def table(self) -> np.ndarray:
+        """The transition table as a read-only (n, k) int32 array."""
+        if self._table is None:
+            table = np.array(self._delta, dtype=np.int32).reshape(self.n, self.k)
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def __setattr__(self, name, value):
         raise AttributeError("Automaton is immutable")
@@ -113,7 +140,9 @@ class Automaton:
             raise ValueError(f"letters ({a}, {b}) out of range")
         if a == b:
             raise ValueError("restriction letters must be distinct")
-        d = self.delta
+        if self._table is not None:
+            return Automaton._raw(self.n, 2, table=self._table[:, [a, b]])
+        d = self._delta
         flat = tuple(chain.from_iterable(zip(d[a::k], d[b::k])))
         return Automaton._raw(self.n, 2, flat)
 
@@ -140,6 +169,12 @@ def parse(text: str) -> Automaton:
     """
     if text.lstrip().startswith("{"):
         return _parse_json(text)
+    return _parse_plain(text) or _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Automaton:
+    """The general text parser: line by line, with comments, and every
+    malformation reported by a FormatError."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -173,6 +208,52 @@ def parse(text: str) -> Automaton:
         raise FormatError(str(exc)) from None
 
 
+# bytes a plain table may hold: digits and the separators space, tab, newline
+_PLAIN_TABLE_BYTES = b"0123456789 \t\n"
+
+
+def _parse_plain(text: str) -> Automaton | None:
+    """Fast path for a well-formed table of ASCII digits, spaces, tabs and
+    newlines, in a few array passes; None for anything else, which the
+    general parser then reads or rejects with its own error message.
+
+    Every number is a digit run, so the runs starting on each line count
+    its entries; lines without one are blank, as the general parser
+    treats them.  A number too large for int64 reads as the int64 maximum,
+    which is no valid n and no valid target, so it lands in the general
+    parser too.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_TABLE_BYTES):
+        return None
+    values = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if len(values) < 2:
+        return None
+    n, k = int(values[0]), int(values[1])
+    if n < 1 or k < 1 or len(values) != 2 + n * k:
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digit = chars >= ord("0")
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    if digit[0]:
+        starts = np.concatenate(([0], starts))
+    # entries on each line: the digit runs before its newline, less those
+    # before the previous one; a last line without a newline ends the text
+    ends = np.flatnonzero(chars == ord("\n"))
+    if not len(ends) or ends[-1] != len(chars) - 1:
+        ends = np.append(ends, len(chars))
+    per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
+    per_line = per_line[per_line > 0]
+    if len(per_line) != n + 1 or per_line[0] != 2 or (per_line[1:] != k).any():
+        return None
+    targets = values[2:]
+    if targets.max() >= n:
+        return None
+    return Automaton._raw(n, k, table=targets.reshape(n, k))
+
+
 def _parse_json(text: str) -> Automaton:
     try:
         obj = json.loads(text)
@@ -201,5 +282,4 @@ def generate_uniform(n: int, k: int, seed=None) -> Automaton:
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    flat = tuple(rng.integers(0, n, size=n * k).tolist())
-    return Automaton._raw(n, k, flat)
+    return Automaton._raw(n, k, table=rng.integers(0, n, size=(n, k)))

@@ -9,6 +9,10 @@ is expected to fall back to the quadratic oracle.  Each guard is O(n) or
 sublinear and is designed to fail only rarely on uniform random input, which
 is what makes the combined pipeline linear in expectation.
 
+From NUMPY_MIN_N states every O(n) pass (the sink test, the two cluster
+decompositions and the per-state guards) runs in NumPy; below it, where
+NumPy's fixed per-call cost would dominate, in pure Python.
+
 Pipeline order for a two-letter automaton:
 
   1. sink components of the whole transition graph (a definitive negative
@@ -30,7 +34,10 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .pairgraph import synch_slow
 
@@ -54,6 +61,18 @@ __all__ = [
 # reported; the extra work is a few thousand operations, far below where the
 # pipeline's linear-time behaviour matters.
 CERTIFIED_MAX_N = 32
+
+# From this many states every O(n) pass of the pipeline runs in NumPy: the
+# cluster decompositions, the sink test and the per-state guards.  Below it
+# the pure-Python passes are faster than NumPy's fixed per-call cost; the
+# two cross near n = 200.
+NUMPY_MIN_N = 200
+
+# The sink test's reachability search expands its pending states in NumPy
+# once at least this many are waiting, and one at a time below that: a
+# state-by-state walk through a long chain would otherwise pay one NumPy
+# step per state.
+WIDE_MIN = 64
 
 
 class Verdict(Enum):
@@ -128,6 +147,21 @@ def _fail(reason: FailReason, step: str) -> CheckOutcome:
     return CheckOutcome(Verdict.LINEAR_FAIL, reason, step)
 
 
+def _scalars(x):
+    """x itself, or a memoryview of x when it is an array: either way,
+    indexing by state gives a Python scalar, which is what the loops over a
+    few hundred states want."""
+    return memoryview(x) if isinstance(x, np.ndarray) else x
+
+
+def _column(A, a: int):
+    """Letter a's action indexed by state: a list below NUMPY_MIN_N states,
+    else a memoryview of the table column."""
+    if A.n < NUMPY_MIN_N:
+        return A.column(a)
+    return memoryview(A.table[:, a])
+
+
 # ---------------------------------------------------------------------------
 # step 1: sink components
 
@@ -138,18 +172,24 @@ class SccAnalysis:
 
     ``minimal`` lists the components without outgoing edges.  A synchronizing
     automaton has exactly one of those; every synchronizing word ends inside
-    it.  ``q0``/``in_q0`` describe that component when it is unique.
+    it.  ``in_q0`` (and ``q0``, derived from it) describe that component when
+    it is unique.
     """
 
-    comp: list
+    comp: array
     n_components: int
     minimal: tuple
-    q0: Optional[list]
     in_q0: Optional[bytearray]
 
     @property
     def multiple_minimal(self) -> bool:
         return len(self.minimal) >= 2
+
+    @property
+    def q0(self) -> Optional[list]:
+        if self.in_q0 is None:
+            return None
+        return [q for q, inside in enumerate(self.in_q0) if inside]
 
     def components(self) -> list:
         buckets = [[] for _ in range(self.n_components)]
@@ -166,7 +206,11 @@ def analyze_scc(A) -> SccAnalysis:
     on large inputs.
     """
     n, k = A.n, A.k
-    delta = array("i", A.delta)
+    if n < NUMPY_MIN_N:
+        delta = array("i", A.delta)
+    else:
+        delta = array("i")
+        delta.frombytes(A.table.tobytes())
     index = array("i", bytes(4 * n))  # 1-based discovery order, 0 = unvisited
     low = array("i", bytes(4 * n))
     on_stack = bytearray(n)
@@ -222,15 +266,101 @@ def analyze_scc(A) -> SccAnalysis:
             if comp[delta[base + a]] != cq:
                 has_out[cq] = 1
                 break
-    comp_list = comp.tolist()
     minimal = tuple(c for c in range(ncomp) if not has_out[c])
-    q0 = None
     in_q0 = None
     if len(minimal) == 1:
         c0 = minimal[0]
-        in_q0 = bytearray(1 if c == c0 else 0 for c in comp_list)
-        q0 = [q for q in range(n) if comp_list[q] == c0]
-    return SccAnalysis(comp=comp_list, n_components=ncomp, minimal=minimal, q0=q0, in_q0=in_q0)
+        in_q0 = bytearray(c == c0 for c in comp)
+    return SccAnalysis(comp=comp, n_components=ncomp, minimal=minimal, in_q0=in_q0)
+
+
+def sink_states(A, cs0=None):
+    """Indicator over states of the unique sink component, or None when A
+    has two or more.
+
+    ``cs0`` is letter 0's cluster structure, built here when not given.  From
+    NUMPY_MIN_N states the answer is a bool array, computed from cs0: every
+    sink component holds a letter-0 cycle, each state reaches at least one
+    sink component, and a state of a sink component reaches exactly its own
+    component.  So the states reachable from every letter-0 cycle form the
+    sink component when it is unique, and none when there are two.
+
+    The cycles are searched from in decreasing order of cluster size.  A
+    state of a cluster searched earlier reaches that cluster's cycle, so it
+    reaches all of the running intersection; a search that gets there
+    leaves the intersection as it is and stops.  On a random automaton
+    that leaves about one full search.  A letter with more than 5 ln n
+    cycles fails the cluster-count guard anyway, so there the searches
+    would buy nothing, and Tarjan decides.  Below NUMPY_MIN_N, Tarjan gives
+    a bytearray.
+    """
+    n = A.n
+    if n < NUMPY_MIN_N:
+        return analyze_scc(A).in_q0
+    if cs0 is None:
+        cs0 = build_cluster_structure(A, 0)
+    if not cluster_count_ok(cs0, n):
+        in_q0 = analyze_scc(A).in_q0
+        return None if in_q0 is None else np.frombuffer(in_q0, dtype=np.bool_)
+    order = sorted(range(cs0.n_clusters), key=cs0.sizes.__getitem__, reverse=True)
+    turn = np.empty(len(order), dtype=np.int32)
+    turn[order] = range(len(order))
+    turn_of = turn.take(cs0.cluster)  # when each state's cluster is searched
+    stamp = np.full(n, -1, dtype=np.int32)
+    owner = np.empty(n, dtype=np.int32)
+    common = None  # states reachable from every cycle searched so far
+    for t, c in enumerate(order):
+        if _reaches(A.table, cs0.cycles[c], t, stamp, owner, turn_of):
+            continue
+        if common is None:
+            common = stamp == t
+        else:
+            common &= stamp == t
+            if not common.any():
+                return None
+    return common
+
+
+def _reaches(table, cycle, t, stamp, owner, turn_of) -> bool:
+    """Search turn t: set ``stamp`` to t on every state reachable from the
+    states of ``cycle``, or stop early, returning True, at a state whose
+    ``turn_of`` is below t.
+
+    Pending states are expanded one at a time from a Python list while
+    fewer than WIDE_MIN wait, and all together in NumPy otherwise.  Each
+    state is stamped when first reached, so it is pending at most once:
+    NumPy keeps one copy of each new state by letting the last writer of
+    ``owner`` keep it.
+    """
+    k = table.shape[1]
+    succ = memoryview(table.reshape(-1))
+    seen = memoryview(stamp)
+    earlier = memoryview(turn_of)
+    for q in cycle:
+        seen[q] = t
+    pending = list(cycle)
+    while pending:
+        if len(pending) < WIDE_MIN:
+            q = pending.pop()
+            for r in succ[q * k:(q + 1) * k]:
+                if seen[r] != t:
+                    if earlier[r] < t:
+                        return True
+                    seen[r] = t
+                    pending.append(r)
+            continue
+        front = np.array(pending, dtype=np.int32)
+        while len(front) >= WIDE_MIN:
+            cand = table.take(front, axis=0).reshape(-1)
+            cand = cand[stamp.take(cand) != t]
+            pos = np.arange(len(cand), dtype=np.int32)
+            owner[cand] = pos
+            front = cand[owner.take(cand) == pos]
+            if t and (turn_of.take(front) < t).any():
+                return True
+            stamp[front] = t
+        pending = front.tolist()
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +376,9 @@ class ClusterStructure:
     its tree's root on the cluster cycle (``tree``), the distance to the cycle
     (``height``), and its height-1 ancestor (``branch_root``, -1 on the cycle
     itself).  ``cycles[c]`` lists cluster c's cycle states in action order.
+    Clusters are numbered by their least state, and each cycle starts at the
+    root of that state's tree.  The per-state fields are lists below
+    NUMPY_MIN_N states and int32 arrays from there on.
     """
 
     letter: int
@@ -265,91 +398,137 @@ class ClusterStructure:
 
 
 def build_cluster_structure(A, letter: int) -> ClusterStructure:
-    """Decompose one letter's functional graph in O(n).
+    """Decompose one letter's functional graph in O(n) (O(n log n) array
+    work from NUMPY_MIN_N states)."""
+    if A.n < NUMPY_MIN_N:
+        return _clusters_python(A.delta[letter :: A.k], letter)
+    return _clusters_numpy(np.ascontiguousarray(A.table[:, letter]), letter)
 
-    Cycles are found by walking each unvisited state forward until the walk
-    meets itself or settled territory; heights and tree tags then spread
-    outward from the cycles over reversed edges.  Per-state bookkeeping lives
-    in typed 32-bit buffers while the graph is walked (the access pattern is
-    random, so footprint decides cache behaviour) and is converted to plain
-    lists for the returned structure.
+
+def _clusters_python(f, letter: int) -> ClusterStructure:
+    """One forward walk from each state not yet settled, in increasing order.
+
+    The walk stops at a settled state or closes a new cycle; either way the
+    walked tail is then settled backwards from the state it ran into.  The
+    least state of a cluster is the first one walked in it, and its walk
+    enters the cycle at its tree's root.
     """
-    n = A.n
-    f = array("i", A.delta[letter :: A.k])
-    status = bytearray(n)  # 0 new, 1 on the current walk, 2 settled
-    zeros = bytes(4 * n)
-    walk_pos = array("i", zeros)
-    cluster = array("i", [-1]) * n
-    tree = array("i", zeros)
-    height = array("i", zeros)
-    branch_root = array("i", [-1]) * n
+    n = len(f)
+    cluster = [-1] * n  # -2 while on the current walk
+    tree = [0] * n
+    height = [0] * n
+    branch_root = [-1] * n
     cycles = []
-
     for q0 in range(n):
-        if status[q0]:
+        if cluster[q0] != -1:
             continue
         path = []
         q = q0
-        while not status[q]:
-            status[q] = 1
-            walk_pos[q] = len(path)
+        while cluster[q] == -1:
+            cluster[q] = -2
             path.append(q)
             q = f[q]
-        if status[q] == 1:  # the walk closed a brand new cycle
-            cyc = path[walk_pos[q]:]
+        if cluster[q] == -2:  # the walk closed a brand new cycle
+            j = path.index(q)
             cid = len(cycles)
-            cycles.append(cyc)
-            for j, c in enumerate(cyc):
+            cycles.append(path[j:])
+            for i, c in enumerate(path[j:]):
                 cluster[c] = cid
-                tree[c] = j
-        for s in path:
-            status[s] = 2
-
-    # reversed edges in CSR layout, then BFS outward from every cycle
-    indeg = array("i", zeros)
-    for t in f:
-        indeg[t] += 1
-    offs = array("i", bytes(4 * (n + 1)))
-    for i in range(n):
-        offs[i + 1] = offs[i] + indeg[i]
-    preds = array("i", zeros)
-    fill = offs[:n]
-    for q in range(n):
-        t = f[q]
-        preds[fill[t]] = q
-        fill[t] += 1
-
-    queue = [c for cyc in cycles for c in cyc]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        cx = cluster[x]
-        tx = tree[x]
-        hx = height[x]
-        bx = branch_root[x]
-        for i in range(offs[x], offs[x + 1]):
-            c = preds[i]
-            if cluster[c] != -1:  # cycle predecessor already settled
-                continue
-            cluster[c] = cx
-            tree[c] = tx
-            height[c] = hx + 1
-            branch_root[c] = c if hx == 0 else bx
-            queue.append(c)
-
+                tree[c] = i
+            del path[j:]
+        cx, tx, hx, bx = cluster[q], tree[q], height[q], branch_root[q]
+        for s in reversed(path):
+            hx += 1
+            if hx == 1:
+                bx = s
+            cluster[s] = cx
+            tree[s] = tx
+            height[s] = hx
+            branch_root[s] = bx
     sizes = [0] * len(cycles)
     for cid in cluster:
         sizes[cid] += 1
-    return ClusterStructure(
-        letter=letter,
-        cluster=cluster.tolist(),
-        tree=tree.tolist(),
-        height=height.tolist(),
-        branch_root=branch_root.tolist(),
-        cycles=cycles,
-        sizes=sizes,
-    )
+    return ClusterStructure(letter, cluster, tree, height, branch_root, cycles, sizes)
+
+
+def _clusters_numpy(f: np.ndarray, letter: int) -> ClusterStructure:
+    """The same structure as _clusters_python, by pointer doubling.
+
+    f^(2^L) with 2^L >= n maps every state onto a cycle, and onto every
+    cycle state, so its image is the set of cycle states.  With the cycle
+    and height-1 states made fixed points, doubling carries each tree state
+    to its branch root and counts its height; one more f step from there
+    is its tree's root.  Only the cycles, about sqrt(n) states on a random
+    map, are walked one state at a time.
+    """
+    n = len(f)
+    states = np.arange(n, dtype=np.int32)
+    image = f
+    for _ in range((n - 1).bit_length()):
+        image = image.take(image)
+    on_cycle = np.zeros(n, dtype=np.bool_)
+    on_cycle[image] = True
+
+    # cycle states and height-1 states stay put; doubling the map until it
+    # is idempotent carries every tree state to its branch root, counting
+    # the steps on the way
+    stay = on_cycle.take(f)
+    branch_root = np.where(stay, states, f)
+    steps = (~stay).astype(np.int32)
+    while True:
+        nxt = branch_root.take(branch_root)
+        if (nxt == branch_root).all():
+            break
+        steps += steps.take(branch_root)
+        branch_root = nxt
+    height = np.where(on_cycle, 0, steps + 1)
+    root = np.where(on_cycle, states, f.take(branch_root))
+    branch_root[on_cycle] = -1
+
+    # walk each cycle from its least state; the cycles are found in the
+    # order of their least states, which is not yet the cluster order
+    succ = memoryview(f)
+    seen = bytearray(n)
+    walks = []
+    for s in np.flatnonzero(on_cycle).tolist():
+        if seen[s]:
+            continue
+        walk = []
+        q = s
+        while not seen[q]:
+            seen[q] = 1
+            walk.append(q)
+            q = succ[q]
+        walks.append(walk)
+    count = len(walks)
+    lengths = np.array([len(w) for w in walks], dtype=np.int32)
+    walked = np.fromiter(chain.from_iterable(walks), dtype=np.int32, count=int(lengths.sum()))
+    walk_of = np.empty(n, dtype=np.int32)
+    walk_of[walked] = np.repeat(np.arange(count, dtype=np.int32), lengths)
+    pos = np.arange(len(walked), dtype=np.int32) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    walk_pos = np.empty(n, dtype=np.int32)
+    walk_pos[walked] = pos
+
+    # number the clusters by their least state and start each cycle at the
+    # root of that state's tree
+    walk_of_state = walk_of.take(root)
+    least = np.full(count, n, dtype=np.int32)
+    np.minimum.at(least, walk_of_state, states)
+    order = np.argsort(least)
+    rank = np.empty(count, dtype=np.int32)
+    rank[order] = np.arange(count, dtype=np.int32)
+    shift = walk_pos.take(root.take(least))
+    cycles = []
+    for w in order.tolist():
+        walk, j = walks[w], int(shift[w])
+        cycles.append(walk[j:] + walk[:j])
+    cycle_pos = np.empty(n, dtype=np.int32)
+    cycle_pos[walked] = (pos - np.repeat(shift, lengths)) % np.repeat(lengths, lengths)
+
+    cluster = rank.take(walk_of_state)
+    tree = cycle_pos.take(root)
+    sizes = np.bincount(cluster, minlength=len(cycles)).tolist()
+    return ClusterStructure(letter, cluster, tree, height, branch_root, cycles, sizes)
 
 
 def cluster_count_ok(cs: ClusterStructure, n: int) -> bool:
@@ -384,9 +563,19 @@ class TallestBranchInfo:
 
 
 def _branch_summary(cs: ClusterStructure):
-    """(root, height, second height, unique?) over all height-1 branches."""
+    """(root, height, second height, unique?) over all height-1 branches;
+    the root is meaningful only for a unique tallest branch."""
     br = cs.branch_root
     h = cs.height
+    if isinstance(h, np.ndarray):
+        best = int(h.max())
+        if best == 0:
+            return -1, 0, 0, False
+        tops = br[h == best]
+        root = int(tops[0])
+        if (tops != root).any():
+            return root, best, best, False
+        return root, best, int(h[br != root].max()), True
     n = len(h)
     tallest = [0] * n  # indexed by branch root state
     for q in range(n):
@@ -444,20 +633,25 @@ def tallest_branch_candidates(cs0: ClusterStructure, cs1: ClusterStructure):
 # step 4: the seed pair
 
 
-def stable_seed(info: TallestBranchInfo, scc: SccAnalysis, cs: ClusterStructure):
+def stable_seed(info: TallestBranchInfo, in_q0, cs: ClusterStructure):
     """The merge pair (cycle_pred, root), or None.
 
-    Requires a branch state q inside the sink component whose height beats
-    every other branch; that makes the merged pair stable, i.e. any word can
-    be extended by more letters to take both entries to one state.
+    Requires a branch state q inside the sink component (``in_q0``, from
+    sink_states) whose height beats every other branch; that makes the
+    merged pair stable, i.e. any word can be extended by more letters to
+    take both entries to one state.
     """
-    in_q0 = scc.in_q0
     if in_q0 is None:
         return None
     br = cs.branch_root
     h = cs.height
     root = info.root
     cutoff = info.second_height
+    if isinstance(h, np.ndarray):
+        tall = np.flatnonzero(h > cutoff)
+        if ((br[tall] == root) & np.asarray(in_q0)[tall]).any():
+            return (info.cycle_pred, info.root)
+        return None
     for q in range(len(h)):
         if br[q] == root and h[q] > cutoff and in_q0[q]:
             return (info.cycle_pred, info.root)
@@ -495,8 +689,8 @@ def multiply_stable_pairs(A, seed_pair, a1: int, a2: int):
     tagged a1), or None when the first set has fewer than 6 pairs.
     """
     n = A.n
-    col1 = A.column(a1)
-    col2 = A.column(a2)
+    col1 = _column(A, a1)
+    col2 = _column(A, a2)
     jmax = math.ceil(n ** 0.4)
 
     ordered = []
@@ -531,9 +725,12 @@ def multiply_stable_pairs(A, seed_pair, a1: int, a2: int):
 # step 6: cluster graph over large clusters
 
 
-def large_state_mask(cs: ClusterStructure, n: int) -> bytearray:
-    """Indicator over states of membership in a large cluster (size > n^0.45)."""
+def large_state_mask(cs: ClusterStructure, n: int):
+    """Indicator over states of membership in a large cluster (size > n^0.45):
+    a bytearray, or a bool array when the structure holds arrays."""
     thr = n ** 0.45
+    if isinstance(cs.cluster, np.ndarray):
+        return (np.array(cs.sizes) > thr).take(cs.cluster)
     big = [sz > thr for sz in cs.sizes]
     return bytearray(big[c] for c in cs.cluster)
 
@@ -561,8 +758,8 @@ def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
     d = reduce(math.gcd, (len(cyc) for cyc, big in zip(cs.cycles, is_large) if big), 0)
     if d == 0:  # cycle lengths are positive, so no cluster is large
         return FailReason.NO_LARGE_CLUSTERS
-    cluster = cs.cluster
-    h = cs.height
+    cluster = _scalars(cs.cluster)
+    h = _scalars(cs.height)
     parent = {}  # non-root cluster -> (parent, its label minus the parent's)
     touched = set()
     merges = 0
@@ -571,9 +768,13 @@ def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
         c1, c2 = cluster[s], cluster[t]
         if not (is_large[c1] and is_large[c2]):
             continue
+        offset = h[t] - h[s]
+        if c1 == c2:  # the walks up the tree would cancel out
+            touched.add(c1)
+            gen = math.gcd(gen, offset)
+            continue
         touched.add(c1)
         touched.add(c2)
-        offset = h[t] - h[s]
         while c1 in parent:
             c1, rel = parent[c1]
             offset += rel
@@ -600,6 +801,7 @@ def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
 def check_cycle_majority(cs_a: ClusterStructure, lhat_b: bytearray) -> bool:
     """Every cycle longer than 2 needs at least half its states (rounded up)
     inside the other letter's large clusters."""
+    lhat_b = _scalars(lhat_b)
     for cyc in cs_a.cycles:
         s = len(cyc)
         if s <= 2:
@@ -626,7 +828,8 @@ def check_two_cycles(A, cs_a: ClusterStructure, b: int,
     state outside lhat_b keeps its whole b-orbit outside lhat_b, so a b-mask
     here could never pass.  Anything else fails the guard.
     """
-    colb = A.column(b)
+    colb = _column(A, b)
+    lhat_a, lhat_b = _scalars(lhat_a), _scalars(lhat_b)
     for cyc in cs_a.cycles:
         if len(cyc) != 2:
             continue
@@ -657,6 +860,7 @@ def cycle_closure_flags(cs_a: ClusterStructure, col_b, lhat_a, lhat_b):
     """Per-cluster flags in one pass: whether the cycle meets lhat_b at all,
     whether its image under b meets lhat_a, and the same two as full
     inclusions (the loop case needs both strengths)."""
+    lhat_a, lhat_b = _scalars(lhat_a), _scalars(lhat_b)
     in_b_any = []
     img_in_a_any = []
     in_b_all = []
@@ -718,9 +922,11 @@ def check_cycle_pairs(cs_a: ClusterStructure, lhat_b, flags, n: int):
     (z + I) union J everything, else merging can stall on that pair.
     """
     in_b_any, img_in_a_any, in_b_all, img_in_a_all = flags
+    lhat_b = _scalars(lhat_b)
     cycles = cs_a.cycles
     thr = n ** 0.45
     nc = len(cycles)
+    avoided = {}  # (cycle, d) -> _avoided_residues(cycles[cycle], d, lhat_b)
     for i in range(nc):
         for j in range(i + 1, nc):
             ci, cj = i, j
@@ -735,9 +941,10 @@ def check_cycle_pairs(cs_a: ClusterStructure, lhat_b, flags, n: int):
                     continue
                 return FailReason.CYCLE_PAIR_NOT_COVERED
             d = math.gcd(len(cycles[ci]), short)
-            I = _avoided_residues(cycles[ci], d, lhat_b)
-            J = _avoided_residues(cycles[cj], d, lhat_b)
-            if shift_exists(I, J, d):
+            for c in (ci, cj):
+                if (c, d) not in avoided:
+                    avoided[c, d] = _avoided_residues(cycles[c], d, lhat_b)
+            if shift_exists(avoided[ci, d], avoided[cj, d], d):
                 return FailReason.SHIFT_EXISTS
     return None
 
@@ -761,11 +968,11 @@ def binary_linear_check(A) -> CheckOutcome:
     if n == 1:
         return CheckOutcome(Verdict.SYNCHRONIZING)
 
-    scc = analyze_scc(A)
-    if scc.multiple_minimal:
+    cs0 = build_cluster_structure(A, 0)
+    in_q0 = sink_states(A, cs0)
+    if in_q0 is None:
         return CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
 
-    cs0 = build_cluster_structure(A, 0)
     cs1 = build_cluster_structure(A, 1)
     if not (cluster_count_ok(cs0, n) and cluster_count_ok(cs1, n)):
         return _fail(FailReason.TOO_MANY_CLUSTERS, "cluster-count")
@@ -781,7 +988,7 @@ def binary_linear_check(A) -> CheckOutcome:
     first_fail = None
     glued = False
     for info in candidates:
-        seed = stable_seed(info, scc, cs_by_letter[info.a1])
+        seed = stable_seed(info, in_q0, cs_by_letter[info.a1])
         if seed is None:
             first_fail = first_fail or (FailReason.TALLEST_BRANCH_OUTSIDE_Q0, "seed-pair")
             continue
@@ -812,7 +1019,7 @@ def binary_linear_check(A) -> CheckOutcome:
         if not check_two_cycles(A, cs_by_letter[a], b, lhat[a], lhat[b]):
             return _fail(FailReason.TWO_CYCLE_FAIL, "two-cycles")
     for a, b in orderings:
-        col_b = A.column(b)
+        col_b = _column(A, b)
         flags = cycle_closure_flags(cs_by_letter[a], col_b, lhat[a], lhat[b])
         reason = check_cycle_pairs(cs_by_letter[a], lhat[b], flags, n)
         if reason is not None:
@@ -825,7 +1032,7 @@ def binary_linear_check(A) -> CheckOutcome:
 
 def _sink_negative(A) -> Optional[CheckReport]:
     """The whole-alphabet negative when A has two or more sink components."""
-    if not analyze_scc(A).multiple_minimal:
+    if sink_states(A) is not None:
         return None
     out = CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
     return CheckReport(False, "linear", (PairOutcome(tuple(range(A.k)), out),))

@@ -11,14 +11,13 @@ edges are kept in CSR layout: the predecessors of pair v are
 ``rev[offs[v]:offs[v + 1]]``.  Tiny automata build that layout in plain
 Python, where NumPy's per-call overhead would dominate; larger ones build it
 in NumPy.  The BFS expands the frontier level by level in NumPy while it is
-wide, then finishes in a scalar queue: the Cerny automaton C_n has about
+wide, then finishes in a scalar loop: the Cerny automaton C_n has about
 n^2/2 BFS levels of a single pair each, where one NumPy step per level would
 cost more than the scalar loop.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -39,7 +38,7 @@ ORACLE_BYTE_BUDGET = 2 * 1024**3
 NUMPY_MIN_N = 16
 
 # The BFS expands frontiers of at least WIDE_MIN pairs level by level in NumPy,
-# then drains the rest of the search in a scalar queue.  NumPy works in
+# then drains the rest of the search in a scalar loop.  NumPy works in
 # chunks of WIDE_CHUNK frontier pairs, so its temporaries stay small.
 WIDE_MIN = 64
 WIDE_CHUNK = 1 << 16
@@ -147,7 +146,7 @@ def _csr_numpy(A, m):
     p = np.repeat(states, np.arange(1, n + 1))
     q = np.arange(m, dtype=dt)
     q -= tri[p]
-    delta = np.array(A.delta, dtype=dt).reshape(n, k)
+    delta = A.table.astype(dt, copy=False)
     imgs = np.empty((k, m), dtype=dt)
     for a, row in enumerate(imgs):
         col = delta[:, a]
@@ -200,10 +199,12 @@ def _expand(rev, offs, reached, owner, frontier):
     return out
 
 
-def _drain(rev, offs, reached, queue):
-    """Scalar BFS to the end from a deque of reached pairs."""
-    pop, push = queue.popleft, queue.append
-    while queue:
+def _drain(rev, offs, reached, pending):
+    """Scalar search to the end from a list of reached pairs whose
+    predecessors are not yet visited (last in, first out: only the set of
+    reached pairs matters)."""
+    pop, push = pending.pop, pending.append
+    while pending:
         v = pop()
         for u in rev[offs[v]:offs[v + 1]]:
             if not reached[u]:
@@ -218,11 +219,13 @@ def _pair_reach(A, cap):
     holds 1 exactly for pairs some word merges.
     """
     n, k = A.n, A.k
-    if cap is None:
-        if _oracle_bytes(n, k) > ORACLE_BYTE_BUDGET:
-            raise OracleCapExceeded(n, _default_cap(k), _oracle_bytes(n, k))
-    elif n > cap:
+    if cap is not None and n > cap:
         raise OracleCapExceeded(n, cap, _oracle_bytes(n, k))
+    # below NUMPY_MIN_N a few hundred pairs are far below the memory budget,
+    # not worth its estimate, which criteria-sized sweeps would pay millions
+    # of times
+    if cap is None and n >= NUMPY_MIN_N and _oracle_bytes(n, k) > ORACLE_BYTE_BUDGET:
+        raise OracleCapExceeded(n, _default_cap(k), _oracle_bytes(n, k))
     m = n * (n + 1) // 2
     diagonal = [p * (p + 3) // 2 for p in range(n)]
     reached = bytearray(m)
@@ -231,7 +234,7 @@ def _pair_reach(A, cap):
 
     if n < NUMPY_MIN_N:
         rev, offs = _csr_python(A, m)
-        _drain(rev, offs, reached, deque(diagonal))
+        _drain(rev, offs, reached, diagonal)
         return reached
 
     rev, offs = _csr_numpy(A, m)
@@ -241,8 +244,8 @@ def _pair_reach(A, cap):
     while sum(map(len, frontier)) >= WIDE_MIN:
         frontier = _expand(rev, offs, flags, owner, frontier)
     if frontier:
-        queue = deque(np.concatenate(frontier).tolist())
-        _drain(memoryview(rev), memoryview(offs), reached, queue)
+        pending = np.concatenate(frontier).tolist()
+        _drain(memoryview(rev), memoryview(offs), reached, pending)
     return reached
 
 

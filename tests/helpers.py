@@ -117,16 +117,16 @@ def validate_cluster_structure(cs, f, n):
 def collect_stable_pairs(A):
     """Drive the pipeline through seed multiplication; both pair sets or None."""
     from synchk.lincheck import (
-        analyze_scc, build_cluster_structure, multiply_stable_pairs,
+        build_cluster_structure, multiply_stable_pairs, sink_states,
         stable_seed, tallest_branch_candidates)
 
-    scc = analyze_scc(A)
-    if scc.multiple_minimal:
-        return None
     cs0 = build_cluster_structure(A, 0)
+    in_q0 = sink_states(A, cs0)
+    if in_q0 is None:
+        return None
     cs1 = build_cluster_structure(A, 1)
     for info in tallest_branch_candidates(cs0, cs1):
-        seed = stable_seed(info, scc, (cs0, cs1)[info.a1])
+        seed = stable_seed(info, in_q0, (cs0, cs1)[info.a1])
         if seed is None:
             continue
         zs = multiply_stable_pairs(A, seed, info.a1, info.a2)

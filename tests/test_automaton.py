@@ -2,11 +2,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from synchk import automaton
 from synchk.automaton import Automaton, FormatError, generate_uniform, parse
 
 
@@ -155,3 +157,65 @@ def test_generate_uniform_stream_uniformity():
         counts[generate_uniform(n, 2, (999, i)).delta[0]] += 1
     res = stats.chisquare(counts)
     assert res.pvalue > 1e-4, f"chi2 p={res.pvalue}"
+
+
+def _outcome(read, text):
+    """read(text), or the text of the FormatError it raises."""
+    try:
+        return read(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@pytest.mark.parametrize("text,fast", [
+    ("3 2\n1 2\n0 0\n2 1\n", True),
+    ("3 2\n1 2\n0 0\n2 1", True),              # no final newline
+    ("\n3 2\n\n1 2\n  \n0 0\n2 1\n\n", True),  # blank lines
+    ("3\t2\n1\t2\n0 \t 0\n\t2 1\t\n", True),   # tabs
+    ("3 2\n001 2\n0 0\n2 1\n", True),          # leading zeros
+    ("3 2\r\n1 2\r\n0 0\r\n2 1\r\n", False),   # CRLF line endings
+    ("3 2  # header\n1 2\n0 0 # row\n2 1\n", False),
+    ("3 2\n+1 2\n0 0\n2 1\n", False),
+    ("3 2\n1_0 2\n0 0\n2 1\n", False),
+    ("3 2\n١ 2\n0 0\n2 1\n", False),     # a non-ASCII digit one
+    ("3 2\n1 2\n0 -1\n2 1\n", False),
+    ("3 2\n1 2\n0 3\n2 1\n", True),            # target out of range
+    ("0 2\n", True),                           # n out of range
+    ("3 0\n\n\n\n", True),                     # k out of range
+    ("3 2\n1 2 0\n0\n2 1\n", True),            # rows of k + 1 and k - 1
+    ("3 2\n1\n0 0 1\n2 1\n", True),
+    ("3 2\n1 2\n0 0\n", True),                 # a row short
+    ("3 2 1\n1 2\n0 0\n2 1\n", True),          # three header entries
+    ("99999999999999999999 1\n0\n", True),     # past int64
+    ("3 2\n1 2\n0 0\n2 99999999999999999999\n", True),
+])
+def test_parse_fast_path_matches_general_parser(text, fast):
+    # ``fast`` says whether the text is made only of the bytes the fast
+    # path reads; whatever it cannot read, the general parser gets
+    assert (text.isascii() and not text.encode().translate(None, b"0123456789 \t\n")) == fast
+    got = _outcome(parse, text)
+    assert got == _outcome(automaton._parse_lines, text)
+    if isinstance(got, Automaton) and fast:
+        assert automaton._parse_plain(text) == got
+
+
+def test_parse_fast_path_fills_the_table():
+    A = generate_uniform(300, 3, 8)
+    B = parse(A.serialize())
+    assert B.table.dtype == np.int32 and not B.table.flags.writeable
+    assert B.table.tolist() == A.table.tolist()
+    assert B == A and hash(B) == hash(A)
+
+
+def test_table_and_delta_agree():
+    # each form is built from the other on first use
+    A = Automaton(3, 2, [(1, 2), (0, 0), (2, 1)])
+    assert A.table.tolist() == [[1, 2], [0, 0], [2, 1]]
+    with pytest.raises(ValueError):
+        A.table[0, 0] = 2
+    G = generate_uniform(7, 3, 4)
+    assert G.delta == tuple(G.table.reshape(-1).tolist())
+    for B in (A, G):
+        R = B.restrict_letters(1, 0)
+        assert R.table.tolist() == [list(row) for row in zip(B.column(1), B.column(0))]
+        assert R.delta == tuple(x for row in zip(B.column(1), B.column(0)) for x in row)

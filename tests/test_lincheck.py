@@ -3,10 +3,12 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synchk import lincheck
 from synchk.automaton import Automaton, generate_uniform
 from synchk.lincheck import (
     CERTIFIED_MAX_N,
@@ -30,6 +32,7 @@ from synchk.lincheck import (
     linear_check,
     multiply_stable_pairs,
     shift_exists,
+    sink_states,
     stable_seed,
     tallest_branch_candidates,
 )
@@ -37,15 +40,32 @@ from synchk.pairgraph import OracleCapExceeded, mergeable_pairs, synch_slow
 
 from helpers import (
     brute_force_synchronizing,
+    cerny,
     cluster_graph_reference,
     collect_stable_pairs,
+    cycle_structured_function,
     planted_two_blocks,
     validate_cluster_structure,
 )
 
+# NUMPY_MIN_N for each way through the linear phase: every pass in pure
+# Python, or every pass in NumPy.
+LINCHECK_PATHS = {"python": 10**9, "numpy": 1}
+
+
+def _force_path(monkeypatch, name):
+    monkeypatch.setattr(lincheck, "NUMPY_MIN_N", LINCHECK_PATHS[name])
+
 
 def random_function(rng, n):
     return [rng.randrange(n) for _ in range(n)]
+
+
+def structure_fields(cs):
+    """Every field of a cluster structure as plain lists, whichever path
+    built it."""
+    per_state = [np.asarray(x).tolist() for x in (cs.cluster, cs.tree, cs.height, cs.branch_root)]
+    return [cs.letter, *per_state, cs.cycles, cs.sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +163,76 @@ def test_cluster_structure_fixture(tall_branch_13):
 def test_cluster_structure_invariants(data):
     n = data.draw(st.integers(1, 40))
     f = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    cs = build_cluster_structure(Automaton(n, 1, f), 0)
-    validate_cluster_structure(cs, f, n)
+    for path in LINCHECK_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            _force_path(mp, path)
+            cs = build_cluster_structure(Automaton(n, 1, f), 0)
+        validate_cluster_structure(cs, f, n)
+
+
+def _maps(rng):
+    """(name, map) pairs: uniform maps, maps built cluster by cluster, paths
+    into a loop or a short cycle, and the two letters of C_n, with the
+    states relabelled at random half of the time."""
+    for n in list(range(1, 40)) + [rng.randint(40, 400) for _ in range(30)]:
+        tail = rng.randint(1, n)
+        path = [q + 1 if q + 1 < n else n - tail for q in range(n)]
+        C = cerny(n)
+        for name, f in (("uniform", random_function(rng, n)),
+                        ("structured", cycle_structured_function(rng, n)),
+                        ("path", path), ("cerny-0", C.column(0)), ("cerny-1", C.column(1))):
+            if rng.random() < 0.5:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = [0] * n
+                for q in range(n):
+                    g[perm[q]] = perm[f[q]]
+                f = g
+            yield name, f
+
+
+def test_cluster_builders_agree(monkeypatch):
+    # the NumPy builder reproduces the Python one field for field: cluster
+    # numbering by least state, cycle rotation, heights and branch roots
+    rng = random.Random(8080)
+    seen = set()
+    for name, f in _maps(rng):
+        n = len(f)
+        A = Automaton(n, 2, list(zip(f, f[::-1])))
+        got = {}
+        for path in LINCHECK_PATHS:
+            _force_path(monkeypatch, path)
+            got[path] = [structure_fields(build_cluster_structure(A, a)) for a in (0, 1)]
+        assert got["python"] == got["numpy"], (name, f)
+        validate_cluster_structure(build_cluster_structure(A, 0), f, n)
+        seen.add(name)
+    assert seen == {"uniform", "structured", "path", "cerny-0", "cerny-1"}
+
+
+def test_sink_test_matches_tarjan(monkeypatch):
+    # the reachability sink test finds the same sink component as Tarjan,
+    # or the same two-or-more; planted blocks closed under every letter give
+    # two sinks, closed under some letters often one with transient states.
+    # Its searches run all in NumPy, by default, and all one state at a time.
+    _force_path(monkeypatch, "numpy")
+    search_modes = (1, lincheck.WIDE_MIN, 10**9)
+    rng = random.Random(9090)
+    outcomes = set()
+    for k in range(1, 7):
+        for _ in range(60):
+            n = rng.randint(2, 300)
+            closed = rng.choice((range(k), (0,), (k - 1,), ()))
+            A = planted_two_blocks(n, k, closed, rng)
+            scc = analyze_scc(A)
+            for wide in search_modes:
+                monkeypatch.setattr(lincheck, "WIDE_MIN", wide)
+                got = sink_states(A)
+                if scc.in_q0 is None:
+                    assert got is None, (wide, A.delta)
+                else:
+                    assert got.tolist() == [bool(x) for x in scc.in_q0], (wide, A.delta)
+                outcomes.add(got is None)
+    assert outcomes == {False, True}
 
 
 def test_cluster_count_bound():
@@ -161,37 +249,43 @@ def test_cluster_count_bound():
 # tallest branch and the seed pair
 
 
-def test_tallest_branch_fixture(tall_branch_13):
-    cs0 = build_cluster_structure(tall_branch_13, 0)
-    cs1 = build_cluster_structure(tall_branch_13, 1)
-    cands = tallest_branch_candidates(cs0, cs1)
-    assert len(cands) == 1  # letter 1 is a pure cycle: no branches at all
-    info = cands[0]
-    assert (info.a1, info.a2) == (0, 1)
-    assert info.root == 10
-    assert info.height == 3
-    assert info.second_height == 2
-    assert info.cycle_pred == 0  # 0 and 10 both step to 1 under letter 0
-    assert tall_branch_13.target(info.cycle_pred, 0) == tall_branch_13.target(info.root, 0)
-    assert info.in_branch(12) and info.in_branch(10)
-    assert not info.in_branch(6)
+def test_tallest_branch_fixture(tall_branch_13, monkeypatch):
+    for path in LINCHECK_PATHS:
+        _force_path(monkeypatch, path)
+        cs0 = build_cluster_structure(tall_branch_13, 0)
+        cs1 = build_cluster_structure(tall_branch_13, 1)
+        cands = tallest_branch_candidates(cs0, cs1)
+        assert len(cands) == 1  # letter 1 is a pure cycle: no branches at all
+        info = cands[0]
+        assert (info.a1, info.a2) == (0, 1)
+        assert info.root == 10
+        assert info.height == 3
+        assert info.second_height == 2
+        assert info.cycle_pred == 0  # 0 and 10 both step to 1 under letter 0
+        assert tall_branch_13.target(info.cycle_pred, 0) == tall_branch_13.target(info.root, 0)
+        assert info.in_branch(12) and info.in_branch(10)
+        assert not info.in_branch(6)
 
 
-def test_tallest_branch_tie_rejected():
+def test_tallest_branch_tie_rejected(monkeypatch):
     # two height-1 branches of equal depth: no strict winner
     f = [1, 2, 0, 0, 1]  # 3-cycle, states 3 and 4 hang at height 1
-    cs0 = build_cluster_structure(Automaton(5, 1, f), 0)
-    assert tallest_branch_candidates(cs0, cs0) == []
+    for path in LINCHECK_PATHS:
+        _force_path(monkeypatch, path)
+        cs0 = build_cluster_structure(Automaton(5, 1, f), 0)
+        assert tallest_branch_candidates(cs0, cs0) == []
 
 
-def test_tallest_branch_both_letters():
+def test_tallest_branch_both_letters(monkeypatch):
     f = [1, 2, 3, 4, 0, 1]  # 5-cycle plus one branch state
     g = [1, 2, 0, 0, 2, 3]  # 3-cycle; branch at 3 reaches height 2 via 5
     A = Automaton(6, 2, list(zip(f, g)))
-    cs0 = build_cluster_structure(A, 0)
-    cs1 = build_cluster_structure(A, 1)
-    cands = tallest_branch_candidates(cs0, cs1)
-    assert [c.a1 for c in cands] == [0, 1]  # lower letter first
+    for path in LINCHECK_PATHS:
+        _force_path(monkeypatch, path)
+        cs0 = build_cluster_structure(A, 0)
+        cs1 = build_cluster_structure(A, 1)
+        cands = tallest_branch_candidates(cs0, cs1)
+        assert [c.a1 for c in cands] == [0, 1]  # lower letter first
 
 
 def test_stable_seed_accepts_and_rejects(tall_branch_13):
@@ -199,7 +293,7 @@ def test_stable_seed_accepts_and_rejects(tall_branch_13):
     cs1 = build_cluster_structure(tall_branch_13, 1)
     info = tallest_branch_candidates(cs0, cs1)[0]
     scc = analyze_scc(tall_branch_13)
-    assert stable_seed(info, scc, cs0) == (0, 10)
+    assert stable_seed(info, scc.in_q0, cs0) == (0, 10)
 
     # same letter-0 graph, but letter 1 collapses into the cycle, so the
     # sink component no longer contains the tall branch
@@ -211,7 +305,7 @@ def test_stable_seed_accepts_and_rejects(tall_branch_13):
     assert infob.root == 10
     sccb = analyze_scc(B)
     assert sorted(sccb.q0) == [0, 1, 2, 3, 4]
-    assert stable_seed(infob, sccb, cs0b) is None
+    assert stable_seed(infob, sccb.in_q0, cs0b) is None
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +723,7 @@ def test_linear_check_negative_only_binding_for_k2(two_shifts):
     assert rep.synchronizing is None
 
 
-def test_linear_check_sink_test_sweep():
+def test_linear_check_sink_test_sweep(monkeypatch):
     # the whole-alphabet negative appears exactly when the full automaton
     # has two or more sink components, whichever pair finds them first
     rng = random.Random(4242)
@@ -642,21 +736,25 @@ def test_linear_check_sink_test_sweep():
                 for closed in (range(k), (0, 1), (1, 2)):
                     autos += [planted_two_blocks(n, k, closed, rng) for _ in range(3)]
             for A in autos:
-                rep = linear_check(A)
-                assert (rep == whole) == analyze_scc(A).multiple_minimal, A.delta
-                assert check_synchronizing(A).synchronizing == synch_slow(A), A.delta
+                two_sinks = analyze_scc(A).multiple_minimal
+                truth = synch_slow(A)
+                for path in LINCHECK_PATHS:
+                    _force_path(monkeypatch, path)
+                    rep = linear_check(A)
+                    assert (rep == whole) == two_sinks, (path, A.delta)
+                    assert check_synchronizing(A).synchronizing == truth, (path, A.delta)
 
 
 def test_linear_check_runs_sink_test_lazily(monkeypatch):
-    # alphabet sizes of the automata analyze_scc is called on, in order
+    # alphabet sizes of the automata the sink test runs on, in order
     sizes = []
-    real = analyze_scc
+    real = sink_states
 
-    def counted(A):
+    def counted(A, cs0=None):
         sizes.append(A.k)
-        return real(A)
+        return real(A, cs0)
 
-    monkeypatch.setattr("synchk.lincheck.analyze_scc", counted)
+    monkeypatch.setattr("synchk.lincheck.sink_states", counted)
     # pair (0, 1) proves it: its own sink test is the only one
     assert linear_check(generate_uniform(200, 4, 0)).synchronizing is True
     assert sizes == [2]
