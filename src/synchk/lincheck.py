@@ -1,9 +1,9 @@
 """Linear expected-time synchronizability check.
 
-The checker proves non-synchronizability only by the sink-component test and,
-up to CERTIFIED_MAX_N states, the pair-graph certificate; otherwise it runs a
-pipeline of structural guards on the functional graphs of a two-letter
-automaton.  When every guard passes, the automaton is synchronizing.
+The checker proves non-synchronizability only by the sink-component test;
+otherwise it runs a pipeline of structural guards on the functional graphs of
+a two-letter automaton.  When every guard passes, the automaton is
+synchronizing: the guards together are a proof, at every size.
 When one fails, the outcome is a LinearFail carrying the reason, and the caller
 is expected to fall back to the quadratic oracle.  Each guard is O(n) or
 sublinear and is designed to fail only rarely on uniform random input, which
@@ -42,7 +42,6 @@ import numpy as np
 from .pairgraph import synch_slow
 
 __all__ = [
-    "CERTIFIED_MAX_N",
     "Verdict",
     "FailReason",
     "CheckOutcome",
@@ -52,15 +51,6 @@ __all__ = [
     "linear_check",
     "check_synchronizing",
 ]
-
-# The guard pipeline's positive verdict is a bundle of structural sufficient
-# conditions; on very small automata those conditions lose their slack (every
-# cluster counts as large, cycles are short) and rare degenerate instances
-# can satisfy all of them without being synchronizing.  Up to this size a
-# positive verdict is therefore confirmed on the pair graph before being
-# reported; the extra work is a few thousand operations, far below where the
-# pipeline's linear-time behaviour matters.
-CERTIFIED_MAX_N = 32
 
 # From this many states every O(n) pass of the pipeline runs in NumPy: the
 # cluster decompositions, the sink test and the per-state guards.  Below it
@@ -82,40 +72,53 @@ class Verdict(Enum):
 
 
 class FailReason(Enum):
-    """Why the linear pipeline gave up (it never means "not synchronizing")."""
+    """Why the linear pipeline gave up (it never means "not synchronizing"),
+    with ``step``, the pipeline stage whose guard failed."""
 
-    TOO_MANY_CLUSTERS = "TooManyClusters"
-    NO_UNIQUE_TALLEST_BRANCH = "NoUniqueTallestBranch"
-    TALLEST_BRANCH_OUTSIDE_Q0 = "TallestBranchOutsideQ0"
-    TOO_FEW_STABLE_PAIRS = "TooFewStablePairs"
-    NO_LARGE_CLUSTERS = "NoLargeClusters"
-    CLUSTER_GRAPH_DISCONNECTED = "ClusterGraphDisconnected"
-    CONGRUENCES_ALL_HOLD = "CongruencesAllHold"
-    CYCLE_MAJORITY_FAIL = "CycleMajorityFail"
-    TWO_CYCLE_FAIL = "TwoCycleFail"
-    CYCLE_PAIR_NOT_COVERED = "CyclePairNotCovered"
-    SHIFT_EXISTS = "ShiftExists"
+    def __new__(cls, value: str, step: str):
+        self = object.__new__(cls)
+        self._value_ = value
+        self.step = step
+        return self
+
+    TOO_MANY_CLUSTERS = "TooManyClusters", "cluster-count"
+    NO_UNIQUE_TALLEST_BRANCH = "NoUniqueTallestBranch", "tallest-branch"
+    TALLEST_BRANCH_OUTSIDE_Q0 = "TallestBranchOutsideQ0", "seed-pair"
+    TOO_FEW_STABLE_PAIRS = "TooFewStablePairs", "stable-pairs"
+    NO_LARGE_CLUSTERS = "NoLargeClusters", "cluster-graph"
+    CLUSTER_GRAPH_DISCONNECTED = "ClusterGraphDisconnected", "cluster-graph"
+    CONGRUENCES_ALL_HOLD = "CongruencesAllHold", "cluster-graph"
+    CYCLE_MAJORITY_FAIL = "CycleMajorityFail", "cycle-majority"
+    TWO_CYCLE_FAIL = "TwoCycleFail", "two-cycles"
+    CYCLE_PAIR_NOT_COVERED = "CyclePairNotCovered", "cycle-pairs"
+    SHIFT_EXISTS = "ShiftExists", "cycle-pairs"
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
     """Outcome of one two-letter pipeline run.
 
-    LINEAR_FAIL carries exactly one reason plus the pipeline stage tag.
-    NOT_SYNCHRONIZING carries no reason and the step that decided it:
-    "scc" (two or more sink components) or "certificate" (the small-size
-    pair-graph check).  SYNCHRONIZING carries neither.
+    LINEAR_FAIL carries exactly one reason; NOT_SYNCHRONIZING (two or more
+    sink components) and SYNCHRONIZING carry none.
     """
 
     verdict: Verdict
     fail_reason: Optional[FailReason] = None
-    step: Optional[str] = None
 
     def __post_init__(self):
         if self.verdict is Verdict.LINEAR_FAIL and self.fail_reason is None:
             raise ValueError("LINEAR_FAIL requires a reason")
         if self.verdict is not Verdict.LINEAR_FAIL and self.fail_reason is not None:
             raise ValueError("only LINEAR_FAIL carries a reason")
+
+    @property
+    def step(self) -> Optional[str]:
+        """The stage that decided a negative or gave up: "scc" for the
+        sink-component negative, the failed guard's stage for LINEAR_FAIL,
+        None for a proof."""
+        if self.verdict is Verdict.NOT_SYNCHRONIZING:
+            return "scc"
+        return None if self.fail_reason is None else self.fail_reason.step
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,6 @@ class CheckReport:
             for po in self.outcomes
             if po.outcome.fail_reason is not None
         )
-
-
-def _fail(reason: FailReason, step: str) -> CheckOutcome:
-    return CheckOutcome(Verdict.LINEAR_FAIL, reason, step)
 
 
 def _scalars(x):
@@ -683,10 +682,9 @@ def multiply_stable_pairs(A, seed_pair, a1: int, a2: int):
     leave an a1 cluster).  The first 6 collected pairs are walked by a2 the
     same way for the set tagged a1.  Collection keeps walk order and does
     not deduplicate: the gate below asks for enough surviving walk
-    positions, and a repeated pair costs nothing downstream.  Degenerate
-    automata that slip through on echoing pairs are caught by the size
-    certificate at the end of the pipeline.  Returns (set tagged a2, set
-    tagged a1), or None when the first set has fewer than 6 pairs.
+    positions, and a repeated pair costs nothing downstream.  Returns (set
+    tagged a2, set tagged a1), or None when the first set has fewer than 6
+    pairs.
     """
     n = A.n
     col1 = _column(A, a1)
@@ -736,15 +734,17 @@ def large_state_mask(cs: ClusterStructure, n: int):
 
 
 def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
-    """Guard for one letter: large clusters (size > n^0.45) exist, the stable
-    pairs connect the large clusters they touch, and the pairs' residuals
-    generate Z_d, d the gcd of the large clusters' cycle lengths.  Returns a
-    FailReason or None for pass.
+    """Guard for one letter: the stable pairs touch large clusters (size >
+    n^0.45), connect all those they touch, and their residuals generate Z_d,
+    d the gcd of the touched clusters' cycle lengths.  Returns a FailReason
+    or None for pass.
 
-    A pair (s, t) between large clusters asks for residue labels with
-    label(c2) - label(c1) = height(t) - height(s) (mod d).  One union-find
-    pass keeps each cluster's label relative to its parent: a pair joining
-    two trees fixes one root's label against the other, and a pair inside a
+    After m >= every height steps of the letter, state q sits at cycle
+    position tree(q) + m - height(q), so a pair (s, t) from cluster c1 to c2
+    asks for residue labels with label(c2) - label(c1) = level(t) - level(s)
+    (mod d), where level(q) = height(q) - tree(q).  One union-find pass
+    keeps each cluster's label relative to its parent: a pair joining two
+    trees fixes one root's label against the other, and a pair inside a
     tree leaves a residual, the amount by which it breaks that labelling.
     The trees need no path compression: in the pipeline they have at most
     5 ln n nodes.  A broken congruence is the good case: it certifies
@@ -755,20 +755,20 @@ def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
     """
     thr = n ** 0.45
     is_large = [sz > thr for sz in cs.sizes]
-    d = reduce(math.gcd, (len(cyc) for cyc, big in zip(cs.cycles, is_large) if big), 0)
-    if d == 0:  # cycle lengths are positive, so no cluster is large
+    if not any(is_large):
         return FailReason.NO_LARGE_CLUSTERS
     cluster = _scalars(cs.cluster)
     h = _scalars(cs.height)
+    tree = _scalars(cs.tree)
     parent = {}  # non-root cluster -> (parent, its label minus the parent's)
     touched = set()
     merges = 0
-    gen = d
+    gen = 0
     for s, t in z.pairs:
         c1, c2 = cluster[s], cluster[t]
         if not (is_large[c1] and is_large[c2]):
             continue
-        offset = h[t] - h[s]
+        offset = (h[t] - tree[t]) - (h[s] - tree[s])
         if c1 == c2:  # the walks up the tree would cancel out
             touched.add(c1)
             gen = math.gcd(gen, offset)
@@ -786,12 +786,12 @@ def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
             merges += 1
         else:
             gen = math.gcd(gen, offset)
-    # connectivity is asked of the clusters the stable pairs actually reach;
     # a large cluster no pair lands in cannot be glued by any edge choice and
-    # only ever shows up through the masks of the later cycle conditions
-    if len(touched) - merges > 1:
+    # constrains no label: connectivity and d ask only of the touched ones
+    if len(touched) - merges != 1:
         return FailReason.CLUSTER_GRAPH_DISCONNECTED
-    return None if gen == 1 else FailReason.CONGRUENCES_ALL_HOLD
+    d = reduce(math.gcd, (len(cs.cycles[c]) for c in touched))
+    return None if math.gcd(gen, d) == 1 else FailReason.CONGRUENCES_ALL_HOLD
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +957,8 @@ def binary_linear_check(A) -> CheckOutcome:
     """Run the guard pipeline on a two-letter automaton.
 
     Returns SYNCHRONIZING (proof), NOT_SYNCHRONIZING (definitive negative
-    from the sink-component test or a failed small-size certificate), or
-    LINEAR_FAIL with the first failed guard.  Positive verdicts on automata
-    with at most CERTIFIED_MAX_N states are confirmed on the pair graph;
-    beyond that size the pipeline never touches the quadratic oracle.
+    from the sink-component test), or LINEAR_FAIL with the first failed
+    guard.  It never touches the quadratic oracle.
     """
     if A.k != 2:
         raise ValueError(f"binary pipeline needs exactly 2 letters, got k={A.k}")
@@ -971,15 +969,15 @@ def binary_linear_check(A) -> CheckOutcome:
     cs0 = build_cluster_structure(A, 0)
     in_q0 = sink_states(A, cs0)
     if in_q0 is None:
-        return CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
+        return CheckOutcome(Verdict.NOT_SYNCHRONIZING)
 
     cs1 = build_cluster_structure(A, 1)
     if not (cluster_count_ok(cs0, n) and cluster_count_ok(cs1, n)):
-        return _fail(FailReason.TOO_MANY_CLUSTERS, "cluster-count")
+        return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS)
 
     candidates = tallest_branch_candidates(cs0, cs1)
     if not candidates:
-        return _fail(FailReason.NO_UNIQUE_TALLEST_BRANCH, "tallest-branch")
+        return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.NO_UNIQUE_TALLEST_BRANCH)
     cs_by_letter = (cs0, cs1)
 
     # the seed pair, its multiplication, and the cluster-graph gluing all
@@ -990,11 +988,11 @@ def binary_linear_check(A) -> CheckOutcome:
     for info in candidates:
         seed = stable_seed(info, in_q0, cs_by_letter[info.a1])
         if seed is None:
-            first_fail = first_fail or (FailReason.TALLEST_BRANCH_OUTSIDE_Q0, "seed-pair")
+            first_fail = first_fail or FailReason.TALLEST_BRANCH_OUTSIDE_Q0
             continue
         zs = multiply_stable_pairs(A, seed, info.a1, info.a2)
         if zs is None:
-            first_fail = first_fail or (FailReason.TOO_FEW_STABLE_PAIRS, "stable-pairs")
+            first_fail = first_fail or FailReason.TOO_FEW_STABLE_PAIRS
             continue
         z_a2, z_a1 = zs
         reason = None
@@ -1003,30 +1001,28 @@ def binary_linear_check(A) -> CheckOutcome:
             if reason is not None:
                 break
         if reason is not None:
-            first_fail = first_fail or (reason, "cluster-graph")
+            first_fail = first_fail or reason
             continue
         glued = True
         break
     if not glued:
-        return _fail(*first_fail)
+        return CheckOutcome(Verdict.LINEAR_FAIL, first_fail)
 
     lhat = (large_state_mask(cs0, n), large_state_mask(cs1, n))
     orderings = ((0, 1), (1, 0))
     for a, b in orderings:
         if not check_cycle_majority(cs_by_letter[a], lhat[b]):
-            return _fail(FailReason.CYCLE_MAJORITY_FAIL, "cycle-majority")
+            return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.CYCLE_MAJORITY_FAIL)
     for a, b in orderings:
         if not check_two_cycles(A, cs_by_letter[a], b, lhat[a], lhat[b]):
-            return _fail(FailReason.TWO_CYCLE_FAIL, "two-cycles")
+            return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TWO_CYCLE_FAIL)
     for a, b in orderings:
         col_b = _column(A, b)
         flags = cycle_closure_flags(cs_by_letter[a], col_b, lhat[a], lhat[b])
         reason = check_cycle_pairs(cs_by_letter[a], lhat[b], flags, n)
         if reason is not None:
-            return _fail(reason, "cycle-pairs")
+            return CheckOutcome(Verdict.LINEAR_FAIL, reason)
 
-    if n <= CERTIFIED_MAX_N and not synch_slow(A):
-        return CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="certificate")
     return CheckOutcome(Verdict.SYNCHRONIZING)
 
 
@@ -1034,7 +1030,7 @@ def _sink_negative(A) -> Optional[CheckReport]:
     """The whole-alphabet negative when A has two or more sink components."""
     if sink_states(A) is not None:
         return None
-    out = CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")
+    out = CheckOutcome(Verdict.NOT_SYNCHRONIZING)
     return CheckReport(False, "linear", (PairOutcome(tuple(range(A.k)), out),))
 
 
@@ -1063,7 +1059,7 @@ def linear_check(A) -> CheckReport:
         b = a + 1
         B = A if k == 2 else A.restrict_letters(a, b)
         out = binary_linear_check(B)
-        if a == 0 and k > 2 and out.step == "scc":
+        if a == 0 and k > 2 and out.verdict is Verdict.NOT_SYNCHRONIZING:
             negative = _sink_negative(A)
             if negative is not None:
                 return negative

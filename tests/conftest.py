@@ -28,6 +28,19 @@ def cerny4():
 
 
 @pytest.fixture
+def parity4():
+    """4-state synchronizing automaton the guard pipeline gives up on.
+
+    Letter 0 swaps 0 with 1 and 2 with 3; letter 1 fixes 0, swaps 1 with 2
+    and sends 3 to 2.  The shortest synchronizing word has length 5.  The
+    only stable pair inside letter 1's one large cluster is (1, 3), which
+    merges in one step, so it leaves that cluster's 2-cycle parity intact
+    and the cluster-graph guard fails with CongruencesAllHold.
+    """
+    return Automaton(4, 2, [(1, 0), (0, 2), (3, 1), (2, 2)])
+
+
+@pytest.fixture
 def two_shifts():
     """Both letters rotate all 4 states: a permutation automaton, so no word
     ever shrinks the image set."""

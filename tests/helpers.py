@@ -174,22 +174,26 @@ def cluster_graph_reference(cs, pairs, n):
     """The cluster-graph guard's outcome, by enumerating residue labellings.
 
     Large clusters have more than n^0.45 states; a pair (s, t) whose
-    clusters c1, c2 are both large is an edge.  The guard fails with
+    clusters c1, c2 are both large is an edge.  A state's level is its
+    height minus its tree's cycle position.  The guard fails with
     NO_LARGE_CLUSTERS when no cluster is large, CLUSTER_GRAPH_DISCONNECTED
-    when the edges leave the clusters they touch in more than one piece,
-    and CONGRUENCES_ALL_HOLD when, for some prime p dividing the gcd d of
-    the large clusters' cycle lengths, a labelling L of the touched
-    clusters into Z_p has L(c2) - L(c1) = h(t) - h(s) (mod p) on every
-    edge.  Otherwise it passes (None).
+    when there are no edges or they leave the clusters they touch in more
+    than one piece, and CONGRUENCES_ALL_HOLD when, for some prime p
+    dividing the gcd d of the touched clusters' cycle lengths, a labelling
+    L of the touched clusters into Z_p has L(c2) - L(c1) = level(t) -
+    level(s) (mod p) on every edge.  Otherwise it passes (None).
     """
     from synchk.lincheck import FailReason
 
     large = {c for c, size in enumerate(cs.sizes) if size > n ** 0.45}
     if not large:
         return FailReason.NO_LARGE_CLUSTERS
-    edges = [(cs.cluster[s], cs.cluster[t], cs.height[t] - cs.height[s])
+    level = [cs.height[q] - cs.tree[q] for q in range(n)]
+    edges = [(cs.cluster[s], cs.cluster[t], level[t] - level[s])
              for s, t in pairs if cs.cluster[s] in large and cs.cluster[t] in large]
     touched = sorted({c for c1, c2, _ in edges for c in (c1, c2)})
+    if not touched:
+        return FailReason.CLUSTER_GRAPH_DISCONNECTED
     reached = set(touched[:1])
     grown = True
     while grown:
@@ -201,7 +205,7 @@ def cluster_graph_reference(cs, pairs, n):
     if len(reached) < len(touched):
         return FailReason.CLUSTER_GRAPH_DISCONNECTED
     d = 0
-    for c in large:
+    for c in touched:
         d = gcd(d, len(cs.cycles[c]))
     for p in range(2, d + 1):
         if d % p or any(p % r == 0 for r in range(2, p)):

@@ -68,11 +68,11 @@ def test_check_stdin(monkeypatch, capsys):
     assert "method=fallback" in capsys.readouterr().out
 
 
-def test_check_json_schema(passing_file, identity_file, tmp_path, cerny4, two_shifts, capsys):
+def test_check_json_schema(passing_file, identity_file, tmp_path, parity4, two_shifts, capsys):
     cases = [
         (["check", passing_file, "--format", "json"], 0, "linear", True),
         (["check", identity_file, "--format", "json"], 1, "linear", False),
-        (["check", write_automaton(tmp_path, cerny4, "c.txt"), "--format", "json"],
+        (["check", write_automaton(tmp_path, parity4, "c.txt"), "--format", "json"],
          0, "fallback", True),
         (["check", write_automaton(tmp_path, two_shifts, "p.txt"),
           "--method", "linear-only", "--format", "json"], 3, "linear", None),
@@ -105,9 +105,9 @@ def test_check_usage_errors(tmp_path, passing_file, capsys):
     assert main(["check", "--gen-n", "0", "--gen-k", "2"]) == 2
 
 
-def test_check_oracle_cap(tmp_path, cerny4, monkeypatch):
-    # cerny4 needs the fallback oracle, so a tiny cap is a hard error
-    path = write_automaton(tmp_path, cerny4)
+def test_check_oracle_cap(tmp_path, parity4, monkeypatch):
+    # parity4 needs the fallback oracle, so a tiny cap is a hard error
+    path = write_automaton(tmp_path, parity4)
     assert main(["check", path, "--oracle-cap", "3"]) == 2
     assert main(["check", path, "--oracle-cap", "4"]) == 0
     monkeypatch.setenv(ENV_ORACLE_CAP, "3")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from synchk import lincheck
 from synchk.automaton import Automaton, generate_uniform
 from synchk.lincheck import (
-    CERTIFIED_MAX_N,
     CheckOutcome,
     CheckReport,
     FailReason,
@@ -77,8 +76,10 @@ def test_outcome_validation():
         CheckOutcome(Verdict.LINEAR_FAIL)  # reason required
     with pytest.raises(ValueError):
         CheckOutcome(Verdict.SYNCHRONIZING, FailReason.TOO_MANY_CLUSTERS)
-    out = CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS, "cluster-count")
+    out = CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS)
     assert out.step == "cluster-count"
+    assert CheckOutcome(Verdict.NOT_SYNCHRONIZING).step == "scc"
+    assert CheckOutcome(Verdict.SYNCHRONIZING).step is None
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +384,22 @@ def four_cycles_graph():
 
 
 def test_cluster_graph_matches_reference(two_cycle_graph, four_cycles_graph):
-    # every sequence of one or two pairs over three graphs with d = 2, 4, 3;
-    # the last has two 3-cycles and hang-off states 6 and 7 at heights 1
-    # and 2, where a label's sign shows mod 3
+    # every sequence of one or two pairs over five graphs; the third has two
+    # 3-cycles and hang-off states 6 and 7 at heights 1 and 2, where a
+    # label's sign shows mod 3.  In the last two the pair merges in one
+    # step: (0, 4) of a 2-cycle, whose heights differ but whose levels do
+    # not, and (2, 3) of a 2-cycle beside a large loop that no pair touches;
+    # a pair that touches no large cluster, (6, 7), glues nothing
     three = build_cluster_structure(Automaton(8, 1, [1, 2, 0, 4, 5, 3, 0, 6]), 0)
+    one_level = build_cluster_structure(Automaton(8, 1, [1, 0, 0, 0, 1, 1, 6, 6]), 0)
+    untouched = build_cluster_structure(Automaton(10, 1, [1, 0, 0, 0, 0, 5, 5, 5, 5, 5]), 0)
+    for cs, pair, want in ((one_level, (0, 4), FailReason.CONGRUENCES_ALL_HOLD),
+                           (untouched, (2, 3), FailReason.CONGRUENCES_ALL_HOLD),
+                           (one_level, (6, 7), FailReason.CLUSTER_GRAPH_DISCONNECTED)):
+        z = StablePairSet(letter=0, pairs=(pair,))
+        assert check_cluster_graph(cs, z, len(cs.cluster)) is want
     seen = set()
-    for cs in (two_cycle_graph, four_cycles_graph, three):
+    for cs in (two_cycle_graph, four_cycles_graph, three, one_level, untouched):
         n = len(cs.cluster)
         singles = [(s, t) for s in range(n) for t in range(n)]
         for pairs in [(p,) for p in singles] + list(product(singles, repeat=2)):
@@ -407,9 +418,11 @@ def test_cluster_graph_congruence_outcomes(two_cycle_graph):
 
     # a lone tree edge leaves no non-tree edge to break the congruence
     assert run(((0, 4),)) is FailReason.CONGRUENCES_ALL_HOLD
-    # the height-1 state 10 shifts the residue, breaking the congruence
-    assert run(((0, 4), (10, 5))) is None
-    # a second cycle-to-cycle edge keeps every congruence intact
+    # 10 and 3 both step to 0, so 10 keeps the odd parity of 3, as 5 does
+    assert run(((0, 4), (10, 5))) is FailReason.CONGRUENCES_ALL_HOLD
+    # but 4 keeps the even parity of 0: this pair breaks the congruence
+    assert run(((0, 4), (10, 4))) is None
+    # a second edge between cycle states at equal positions keeps it intact
     assert run(((0, 4), (1, 5))) is FailReason.CONGRUENCES_ALL_HOLD
     # pairs inside each cluster touch both but never glue them
     assert run(((0, 1), (4, 5))) is FailReason.CLUSTER_GRAPH_DISCONNECTED
@@ -616,9 +629,13 @@ def test_binary_check_permutations_fail_fast(two_shifts):
     assert out.fail_reason is FailReason.NO_UNIQUE_TALLEST_BRANCH
 
 
-def test_binary_check_cerny_gives_up_at_cluster_graph(cerny4):
-    # one 4-cycle cluster per letter means gcd 4 with no residue breaking it
-    out = binary_linear_check(cerny4)
+def test_binary_check_cerny_gives_up_at_cluster_graph(cerny4, parity4):
+    # the guards prove C_4; from C_5 on, letter 1's clusters are {0, 1} and
+    # n - 2 loops, none of them large
+    assert binary_linear_check(cerny4).verdict is Verdict.SYNCHRONIZING
+    out = binary_linear_check(cerny(5))
+    assert (out.fail_reason, out.step) == (FailReason.NO_LARGE_CLUSTERS, "cluster-graph")
+    out = binary_linear_check(parity4)
     assert out.verdict is Verdict.LINEAR_FAIL
     assert out.fail_reason is FailReason.CONGRUENCES_ALL_HOLD
     assert out.step == "cluster-graph"
@@ -637,21 +654,21 @@ def test_binary_check_stage_tags():
 
 
 def test_binary_check_positive_is_certified_small():
-    # all guards pass on these 7-state automata, yet they are not
-    # synchronizing; the certificate inside the pipeline must catch them
+    # labelled by heights, these non-synchronizing 7-state automata pass
+    # every guard; labelled by levels, the pipeline gives up on them and
+    # the oracle answers
     for flat in ((3, 1, 5, 4, 6, 0, 5, 0, 6, 3, 1, 3, 4, 0),
                  (5, 6, 5, 2, 3, 1, 1, 3, 1, 5, 6, 3, 4, 0)):
         A = Automaton(7, 2, flat)
         assert not synch_slow(A)
-        out = binary_linear_check(A)
-        assert out.verdict is Verdict.NOT_SYNCHRONIZING
-        assert out.step == "certificate"
+        assert binary_linear_check(A).verdict is Verdict.LINEAR_FAIL
+        rep = check_synchronizing(A)
+        assert (rep.synchronizing, rep.method) == (False, "fallback")
 
 
 def test_binary_check_positive_examples():
-    small = generate_uniform(20, 2, 0)  # inside the certification window
-    big = generate_uniform(40, 2, 0)    # outside it
-    assert 20 <= CERTIFIED_MAX_N < 40
+    small = generate_uniform(20, 2, 0)
+    big = generate_uniform(40, 2, 0)
     for A in (small, big):
         assert binary_linear_check(A).verdict is Verdict.SYNCHRONIZING
         assert synch_slow(A)
@@ -659,11 +676,12 @@ def test_binary_check_positive_examples():
 
 def test_binary_check_soundness_sweep():
     # a positive or negative verdict is always the truth; LINEAR_FAIL may
-    # land on either side and is the only inconclusive outcome
+    # land on either side and is the only inconclusive outcome.  400 runs
+    # at 2 to 12 states, then 8000 at 33 to 200
     rng = random.Random(777)
     verdicts = {v: 0 for v in Verdict}
-    for _ in range(400):
-        n = rng.randint(2, 12)
+    for i in range(8400):
+        n = rng.randint(2, 12) if i < 400 else rng.randint(33, 200)
         A = generate_uniform(n, 2, rng.getrandbits(48))
         out = binary_linear_check(A)
         verdicts[out.verdict] += 1
@@ -730,7 +748,7 @@ def test_linear_check_sink_test_sweep(monkeypatch):
     for n in range(1, 15):
         for k in range(1, 7):
             whole = CheckReport(False, "linear", (PairOutcome(
-                tuple(range(k)), CheckOutcome(Verdict.NOT_SYNCHRONIZING, step="scc")),))
+                tuple(range(k)), CheckOutcome(Verdict.NOT_SYNCHRONIZING)),))
             autos = [generate_uniform(n, k, rng.getrandbits(48)) for _ in range(4)]
             if n >= 2:
                 for closed in (range(k), (0, 1), (1, 2)):
@@ -766,19 +784,19 @@ def test_linear_check_runs_sink_test_lazily(monkeypatch):
     assert sizes == [2, 4, 2]
 
 
-def test_check_synchronizing_methods(cerny4):
+def test_check_synchronizing_methods(parity4):
     rep = check_synchronizing(generate_uniform(20, 2, 0))
     assert rep.synchronizing is True and rep.method == "linear"
-    rep = check_synchronizing(cerny4)
+    rep = check_synchronizing(parity4)
     assert rep.synchronizing is True and rep.method == "fallback"
     assert rep.outcomes  # the linear attempt is preserved in the report
     rep = check_synchronizing(Automaton(3, 1, [0, 0, 0]))
     assert rep.synchronizing is True and rep.method == "fallback"
 
 
-def test_check_synchronizing_oracle_cap(cerny4):
+def test_check_synchronizing_oracle_cap(parity4):
     with pytest.raises(OracleCapExceeded):
-        check_synchronizing(cerny4, oracle_cap=3)
+        check_synchronizing(parity4, oracle_cap=3)
     # a linear-phase answer never consults the oracle, so the cap is moot
     rep = check_synchronizing(generate_uniform(40, 2, 0), oracle_cap=3)
     assert rep.synchronizing is True and rep.method == "linear"
