@@ -124,8 +124,10 @@ def _load_automaton(args):
     if args.file is not None and generated:
         raise ValueError("give either a file or --gen-n/--gen-k, not both")
     if args.file is not None:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-        return parse(text)
+        if args.file == "-":
+            return parse(sys.stdin.read())
+        with open(args.file) as fh:
+            return parse(fh.read())
     if args.gen_n is None or args.gen_k is None:
         raise ValueError("need an automaton file or both --gen-n and --gen-k")
     return generate_uniform(args.gen_n, args.gen_k, args.gen_seed)

@@ -30,7 +30,7 @@ Pipeline order for a two-letter automaton:
 from __future__ import annotations
 
 import math
-from array import array
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pairgraph import synch_slow
+from .pairgraph import analyze_scc, synch_slow
 
 __all__ = [
     "Verdict",
@@ -163,114 +163,6 @@ def _column(A, a: int):
 
 # ---------------------------------------------------------------------------
 # step 1: sink components
-
-
-@dataclass
-class SccAnalysis:
-    """Strongly connected components of the full transition graph.
-
-    ``minimal`` lists the components without outgoing edges.  A synchronizing
-    automaton has exactly one of those; every synchronizing word ends inside
-    it.  ``in_q0`` (and ``q0``, derived from it) describe that component when
-    it is unique.
-    """
-
-    comp: array
-    n_components: int
-    minimal: tuple
-    in_q0: Optional[bytearray]
-
-    @property
-    def multiple_minimal(self) -> bool:
-        return len(self.minimal) >= 2
-
-    @property
-    def q0(self) -> Optional[list]:
-        if self.in_q0 is None:
-            return None
-        return [q for q, inside in enumerate(self.in_q0) if inside]
-
-    def components(self) -> list:
-        buckets = [[] for _ in range(self.n_components)]
-        for q, c in enumerate(self.comp):
-            buckets[c].append(q)
-        return buckets
-
-
-def analyze_scc(A) -> SccAnalysis:
-    """Iterative Tarjan over all letters, plus sink-component bookkeeping.
-
-    Working arrays are typed 32-bit buffers: the traversal order is data
-    dependent, and compact storage keeps the random accesses cache-resident
-    on large inputs.
-    """
-    n, k = A.n, A.k
-    if n < NUMPY_MIN_N:
-        delta = array("i", A.delta)
-    else:
-        delta = array("i")
-        delta.frombytes(A.table.tobytes())
-    index = array("i", bytes(4 * n))  # 1-based discovery order, 0 = unvisited
-    low = array("i", bytes(4 * n))
-    on_stack = bytearray(n)
-    comp = array("i", [-1]) * n
-    comp_stack = []
-    ncomp = 0
-    counter = 1
-    for root in range(n):
-        if index[root]:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        comp_stack.append(root)
-        on_stack[root] = 1
-        call_v = [root]
-        call_i = [0]
-        while call_v:
-            v = call_v[-1]
-            i = call_i[-1]
-            if i < k:
-                call_i[-1] = i + 1
-                w = delta[v * k + i]
-                if not index[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    comp_stack.append(w)
-                    on_stack[w] = 1
-                    call_v.append(w)
-                    call_i.append(0)
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                call_v.pop()
-                call_i.pop()
-                if low[v] == index[v]:
-                    while True:
-                        w = comp_stack.pop()
-                        on_stack[w] = 0
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-                if call_v and low[v] < low[call_v[-1]]:
-                    low[call_v[-1]] = low[v]
-
-    has_out = bytearray(ncomp)
-    for q in range(n):
-        cq = comp[q]
-        if has_out[cq]:
-            continue
-        base = q * k
-        for a in range(k):
-            if comp[delta[base + a]] != cq:
-                has_out[cq] = 1
-                break
-    minimal = tuple(c for c in range(ncomp) if not has_out[c])
-    in_q0 = None
-    if len(minimal) == 1:
-        c0 = minimal[0]
-        in_q0 = bytearray(c == c0 for c in comp)
-    return SccAnalysis(comp=comp, n_components=ncomp, minimal=minimal, in_q0=in_q0)
 
 
 def sink_states(A, cs0=None):
@@ -533,6 +425,18 @@ def _clusters_numpy(f: np.ndarray, letter: int) -> ClusterStructure:
 def cluster_count_ok(cs: ClusterStructure, n: int) -> bool:
     """Guard: at most 5 ln n clusters (float comparison, no rounding)."""
     return cs.n_clusters <= 5.0 * math.log(n)
+
+
+def fixed_points_ok(A, a: int) -> bool:
+    """At most 5 ln n states fixed by letter a.  Each fixed point is a
+    cluster of its own, so a letter that fails this fails the cluster count
+    too, and its structure need not be built to tell."""
+    n = A.n
+    if n < NUMPY_MIN_N:
+        fixed = sum(map(operator.eq, A.delta[a::A.k], range(n)))
+    else:
+        fixed = np.count_nonzero(A.table[:, a] == np.arange(n, dtype=np.int32))
+    return fixed <= 5.0 * math.log(n)
 
 
 # ---------------------------------------------------------------------------
@@ -971,8 +875,12 @@ def binary_linear_check(A) -> CheckOutcome:
     if in_q0 is None:
         return CheckOutcome(Verdict.NOT_SYNCHRONIZING)
 
+    # letter 1's structure is built only once the cheaper counts pass: C_n's
+    # letter 1 has n - 1 fixed points, which fail the count on their own
+    if not (cluster_count_ok(cs0, n) and fixed_points_ok(A, 1)):
+        return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS)
     cs1 = build_cluster_structure(A, 1)
-    if not (cluster_count_ok(cs0, n) and cluster_count_ok(cs1, n)):
+    if not cluster_count_ok(cs1, n):
         return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS)
 
     candidates = tallest_branch_candidates(cs0, cs1)

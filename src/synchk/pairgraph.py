@@ -14,12 +14,25 @@ in NumPy.  The BFS expands the frontier level by level in NumPy while it is
 wide, then finishes in a scalar loop: the Cerny automaton C_n has about
 n^2/2 BFS levels of a single pair each, where one NumPy step per level would
 cost more than the scalar loop.
+
+From NUMPY_MIN_N states ``synch_slow`` searches only the pairs of the sink
+component Q0, the strongly connected component with no edge out of it.
+That is exact.  Q0 is closed under every letter, and every state reaches
+it.  So a word moves p into Q0, and a second word moves q in while p stays
+inside.  Pairs of Q0 only ever map to pairs of Q0.  Hence A is
+synchronizing iff Q0 is unique and every pair of Q0 merges, and the BFS on
+the sub-automaton on Q0 is the same search restricted to those pairs.
 """
 from __future__ import annotations
 
 import math
+from array import array
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+
+from .automaton import Automaton
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -39,9 +52,11 @@ NUMPY_MIN_N = 16
 
 # The BFS expands frontiers of at least WIDE_MIN pairs level by level in NumPy,
 # then drains the rest of the search in a scalar loop.  NumPy works in
-# chunks of WIDE_CHUNK frontier pairs, so its temporaries stay small.
+# chunks of WIDE_CHUNK frontier pairs, so its temporaries stay small: about
+# 1 MB at k = 2, which the BFS, holding fewer bytes a pair than the CSR
+# build, leaves room for within _oracle_bytes from about 500 states.
 WIDE_MIN = 64
-WIDE_CHUNK = 1 << 16
+WIDE_CHUNK = 1 << 14
 
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
@@ -60,6 +75,10 @@ def _oracle_bytes(n: int, k: int) -> int:
     (29 at k = 2, 53 at k = 4), which is what the peak RSS grows by between
     n = 1000 and n = 3000 on uniform automata.  Per-state arrays add less
     than 256 bytes a state.
+
+    This bounds an n-state input, and the refusal is decided on it.  From
+    NUMPY_MIN_N states synch_slow builds the pair graph of the sink
+    component Q0 alone, so its actual peak is the estimate for |Q0| states.
     """
     m = n * (n + 1) // 2
     w = _index_dtype(m, k).itemsize
@@ -98,6 +117,115 @@ class OracleCapExceeded(RuntimeError):
         self.n = n
         self.cap = cap
         self.nbytes = nbytes
+
+
+@dataclass
+class SccAnalysis:
+    """Strongly connected components of the full transition graph.
+
+    ``minimal`` lists the components without outgoing edges.  A synchronizing
+    automaton has exactly one of those; every synchronizing word ends inside
+    it.  ``in_q0`` (and ``q0``, derived from it) describe that component when
+    it is unique.
+    """
+
+    comp: array
+    n_components: int
+    minimal: tuple
+    in_q0: Optional[bytearray]
+
+    @property
+    def multiple_minimal(self) -> bool:
+        return len(self.minimal) >= 2
+
+    @property
+    def q0(self) -> Optional[list]:
+        if self.in_q0 is None:
+            return None
+        return [q for q, inside in enumerate(self.in_q0) if inside]
+
+    def components(self) -> list:
+        buckets = [[] for _ in range(self.n_components)]
+        for q, c in enumerate(self.comp):
+            buckets[c].append(q)
+        return buckets
+
+
+def analyze_scc(A) -> SccAnalysis:
+    """Iterative Tarjan over all letters, plus sink-component bookkeeping.
+
+    Working arrays are typed 32-bit buffers: the traversal order is data
+    dependent, and compact storage keeps the random accesses cache-resident
+    on large inputs.  As with the CSR builders, the transitions are read
+    from the flat tuple below NUMPY_MIN_N states and from the table above.
+    """
+    n, k = A.n, A.k
+    if n < NUMPY_MIN_N:
+        delta = array("i", A.delta)
+    else:
+        delta = array("i")
+        delta.frombytes(A.table.tobytes())
+    index = array("i", bytes(4 * n))  # 1-based discovery order, 0 = unvisited
+    low = array("i", bytes(4 * n))
+    on_stack = bytearray(n)
+    comp = array("i", [-1]) * n
+    comp_stack = []
+    ncomp = 0
+    counter = 1
+    for root in range(n):
+        if index[root]:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        comp_stack.append(root)
+        on_stack[root] = 1
+        call_v = [root]
+        call_i = [0]
+        while call_v:
+            v = call_v[-1]
+            i = call_i[-1]
+            if i < k:
+                call_i[-1] = i + 1
+                w = delta[v * k + i]
+                if not index[w]:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    comp_stack.append(w)
+                    on_stack[w] = 1
+                    call_v.append(w)
+                    call_i.append(0)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                call_v.pop()
+                call_i.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = comp_stack.pop()
+                        on_stack[w] = 0
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if call_v and low[v] < low[call_v[-1]]:
+                    low[call_v[-1]] = low[v]
+
+    has_out = bytearray(ncomp)
+    for q in range(n):
+        cq = comp[q]
+        if has_out[cq]:
+            continue
+        base = q * k
+        for a in range(k):
+            if comp[delta[base + a]] != cq:
+                has_out[cq] = 1
+                break
+    minimal = tuple(c for c in range(ncomp) if not has_out[c])
+    in_q0 = None
+    if len(minimal) == 1:
+        c0 = minimal[0]
+        in_q0 = bytearray(c == c0 for c in comp)
+    return SccAnalysis(comp=comp, n_components=ncomp, minimal=minimal, in_q0=in_q0)
 
 
 def _csr_python(A, m):
@@ -212,12 +340,8 @@ def _drain(rev, offs, reached, pending):
                 push(u)
 
 
-def _pair_reach(A, cap):
-    """Reachability flags over triangular pair indices.
-
-    Pair {p, q} with q <= p lives at index p(p+1)/2 + q; the returned bytearray
-    holds 1 exactly for pairs some word merges.
-    """
+def _refuse(A, cap):
+    """Raise OracleCapExceeded when A is too large for the oracle."""
     n, k = A.n, A.k
     if cap is not None and n > cap:
         raise OracleCapExceeded(n, cap, _oracle_bytes(n, k))
@@ -226,6 +350,21 @@ def _pair_reach(A, cap):
     # of times
     if cap is None and n >= NUMPY_MIN_N and _oracle_bytes(n, k) > ORACLE_BYTE_BUDGET:
         raise OracleCapExceeded(n, _default_cap(k), _oracle_bytes(n, k))
+
+
+def _pair_reach(A, cap):
+    """Reachability flags over triangular pair indices.
+
+    Pair {p, q} with q <= p lives at index p(p+1)/2 + q; the returned bytearray
+    holds 1 exactly for pairs some word merges.
+    """
+    _refuse(A, cap)
+    return _reach(A)
+
+
+def _reach(A):
+    """_pair_reach without the size check."""
+    n = A.n
     m = n * (n + 1) // 2
     diagonal = [p * (p + 3) // 2 for p in range(n)]
     reached = bytearray(m)
@@ -253,9 +392,30 @@ def synch_slow(A, cap: int | None = None) -> bool:
     """True iff A is synchronizing.  O(k n^2) time and memory.
 
     Raises OracleCapExceeded when n is past ``cap``, or, with no cap given,
-    when the oracle's estimated peak memory is past ORACLE_BYTE_BUDGET.
+    when the oracle's estimated peak memory for n states is past
+    ORACLE_BYTE_BUDGET.  That is decided on n before any other work.
+
+    From NUMPY_MIN_N states the pair graph is built on the sink component
+    Q0 alone.  Q0 is closed under every letter, and every state reaches it.
+    So a word moves p into Q0, and a second word moves q in while p stays
+    inside.  Pairs of Q0 only ever map to pairs of Q0.  Hence A is
+    synchronizing iff Q0 is unique and every pair of Q0 merges, and the BFS
+    on the sub-automaton is the same search restricted to those pairs.
+    Two or more sink components give False with no pair graph at all.
     """
-    return 0 not in _pair_reach(A, cap)
+    _refuse(A, cap)
+    n = A.n
+    if n >= NUMPY_MIN_N:
+        in_q0 = analyze_scc(A).in_q0
+        if in_q0 is None:
+            return False
+        inside = np.frombuffer(in_q0, dtype=np.bool_)
+        states = np.flatnonzero(inside)
+        if len(states) < n:
+            # Q0's states renumbered 0..|Q0|-1 in increasing order
+            rank = np.cumsum(inside, dtype=np.int32) - 1
+            A = Automaton._raw(len(states), A.k, table=rank.take(A.table.take(states, axis=0)))
+    return 0 not in _reach(A)
 
 
 def mergeable_pairs(A, cap: int | None = None) -> set:

@@ -1,8 +1,10 @@
 """CLI: exit codes, output formats, determinism, configuration errors."""
 import csv
+import gc
 import io
 import json
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -59,6 +61,14 @@ def test_check_linear_only_indeterminate(tmp_path, two_shifts, capsys):
 def test_check_method_quadratic(identity_file, capsys):
     assert main(["check", identity_file, "--method", "quadratic"]) == 1
     assert "method=quadratic" in capsys.readouterr().out
+
+
+def test_check_closes_its_input_file(passing_file, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["check", passing_file]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_check_stdin(monkeypatch, capsys):

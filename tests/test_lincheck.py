@@ -641,6 +641,25 @@ def test_binary_check_cerny_gives_up_at_cluster_graph(cerny4, parity4):
     assert out.step == "cluster-graph"
 
 
+@pytest.mark.parametrize("path", LINCHECK_PATHS)
+def test_cerny_fails_the_count_before_letter_1_is_built(path, monkeypatch):
+    # letter 1 of C_n fixes n - 1 states, past 5 ln n from n = 15 on; each
+    # is a cluster, so the count fails with letter 0's structure alone
+    _force_path(monkeypatch, path)
+    built = []
+
+    def counting(A, letter):
+        built.append(letter)
+        return build_cluster_structure(A, letter)
+
+    monkeypatch.setattr(lincheck, "build_cluster_structure", counting)
+    for n in (15, 20, 300):
+        built.clear()
+        out = binary_linear_check(cerny(n))
+        assert out.fail_reason is FailReason.TOO_MANY_CLUSTERS, n
+        assert built == [0], n
+
+
 def test_binary_check_stage_tags():
     A5 = Automaton(5, 2, list(zip([1, 2, 3, 4, 0], [1, 1, 1, 2, 1])))
     out = binary_linear_check(A5)

@@ -11,8 +11,8 @@ from synchk.pairgraph import (
     DEFAULT_ORACLE_CAP, ORACLE_BYTE_BUDGET, OracleCapExceeded, mergeable_pairs, synch_slow)
 
 from helpers import (
-    all_permutations, brute_force_synchronizing, cerny, enumerate_automata, random_cover,
-    relabel)
+    all_permutations, brute_force_synchronizing, cerny, enumerate_automata,
+    planted_two_blocks, random_cover, relabel)
 
 # (NUMPY_MIN_N, WIDE_MIN) for each way through the oracle: the Python CSR
 # builder, then the NumPy one with the default BFS switch, with every level
@@ -105,29 +105,67 @@ def test_relabeling_invariance():
             assert synch_slow(relabel(A, perm)) == v
 
 
+def _with_tail(A, tail, rng):
+    """A plus ``tail`` transient states, each sent by every letter to a
+    random earlier state, with the states shuffled: the sink components
+    are A's."""
+    n, k = A.n, A.k
+    flat = list(A.delta)
+    for s in range(n, n + tail):
+        flat += [rng.randrange(s) for _ in range(k)]
+    B = Automaton(n + tail, k, flat)
+    return relabel(B, rng.sample(range(B.n), B.n))
+
+
 def _structured_cases():
-    """(automaton, known verdict or None) on both sides of NUMPY_MIN_N."""
+    """(automaton, known verdict or None) on both sides of NUMPY_MIN_N,
+    with sink components of every kind: all states, a proper subset, and
+    two or more."""
     rng = random.Random(2024)
     # C_n: a BFS about n^2/2 levels deep, one pair wide
     for n in (1, 2, 3, 15, 17, 40, 60):
         yield relabel(cerny(n), rng.sample(range(n), n)), True
+    for n, tail in ((3, 2), (5, 12), (20, 7), (40, 30)):
+        yield _with_tail(cerny(n), tail, rng), True
     for base, k in ((1, 1), (1, 2), (3, 5), (8, 2), (9, 1), (30, 2), (40, 5)):
         A = random_cover(base, k, rng)
         yield relabel(A, rng.sample(range(A.n), A.n)), False
+        yield _with_tail(A, rng.randint(1, A.n), rng), False
     for n in (1, 2, 7, 15, 16, 17, 90):
         for k in (1, 2, 5):
-            A = generate_uniform(n, k, rng.getrandbits(48))
-            yield A, brute_force_synchronizing(A) if n <= 7 else None
+            yield generate_uniform(n, k, rng.getrandbits(48)), None
+    for n in (5, 7, 20, 33, 64):
+        for k in (1, 2):
+            for _ in range(3):
+                yield generate_uniform(n, k, rng.getrandbits(48)), None
+    for n in (4, 7, 16, 40):
+        for k in (1, 2, 3):
+            yield planted_two_blocks(n, k, range(k), rng), False
 
 
 def test_oracle_paths_agree_on_every_pair(monkeypatch):
     """Both CSR builders, every BFS mode and both index widths give the same
-    reached array, and the verdict is the known one."""
+    reached array.  On every path the verdict, which from NUMPY_MIN_N states
+    comes from the sink component alone, is the full pair graph's and the
+    known one (brute force's where n <= 7)."""
+    kinds = set()
     for A, truth in _structured_cases():
+        in_q0 = pairgraph.analyze_scc(A).in_q0
+        kinds.add("two sinks" if in_q0 is None
+                  else "all states" if all(in_q0) else "proper subset")
+        if A.n <= 7:
+            brute = brute_force_synchronizing(A)
+            assert truth in (None, brute), A.delta
+            truth = brute
+        full = A.n * (A.n + 1) // 2
         reached = {}
         for name in ORACLE_PATHS:
             _force_path(monkeypatch, name)
             reached[name] = bytes(pairgraph._pair_reach(A, None))
+            verdict = synch_slow(A)
+            assert verdict == (len(mergeable_pairs(A)) == full), (name, A.delta)
+            if truth is not None:
+                assert verdict == truth, (name, A.delta)
         monkeypatch.setattr(pairgraph, "_index_dtype", lambda m, k: np.dtype(np.int64))
         for name in ("numpy", "numpy-wide"):
             _force_path(monkeypatch, name)
@@ -135,12 +173,20 @@ def test_oracle_paths_agree_on_every_pair(monkeypatch):
         monkeypatch.undo()
         reached["default"] = bytes(pairgraph._pair_reach(A, None))
         assert len(set(reached.values())) == 1, (A.n, A.k, A.delta)
-        if truth is not None:
-            assert synch_slow(A) == truth, A.delta
         # mergeable_pairs lists exactly the reached triangular indices
         flags = reached["python"]
         want = {(q, p) for p in range(A.n) for q in range(p + 1) if flags[p * (p + 1) // 2 + q]}
         assert mergeable_pairs(A) == want
+    assert kinds == {"two sinks", "all states", "proper subset"}
+
+
+def test_two_sinks_build_no_pair_graph(monkeypatch):
+    def no_pair_graph(A, m):
+        raise AssertionError("the oracle built a pair graph for two sinks")
+    monkeypatch.setattr(pairgraph, "_csr_numpy", no_pair_graph)
+    rng = random.Random(7)
+    for k in (1, 2, 3):
+        assert not synch_slow(planted_two_blocks(pairgraph.NUMPY_MIN_N + 10, k, range(k), rng))
 
 
 def test_index_dtype_widens_before_int32_wraps():
@@ -155,17 +201,40 @@ def test_index_dtype_widens_before_int32_wraps():
     assert pairgraph._index_dtype(m(1000), 5) == np.int32
 
 
-@pytest.mark.parametrize("k", [1, 2, 4])
-def test_memory_estimate_bounds_the_allocations(k):
-    A = generate_uniform(1000, k, 5)
+def _oracle_peak(A):
     tracemalloc.start()
     try:
         synch_slow(A)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = pairgraph._oracle_bytes(1000, k)
-    assert 0.9 * estimate <= peak <= estimate
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_memory_estimate_bounds_the_allocations(k):
+    """The estimate for n states bounds the oracle; the pair graph it
+    builds is that of the sink component Q0, and the estimate for |Q0|
+    states is tight on it."""
+    n = 1000
+    A = generate_uniform(n, k, 5)
+    in_q0 = pairgraph.analyze_scc(A).in_q0
+    peak = _oracle_peak(A)
+    assert peak <= pairgraph._oracle_bytes(n, k)
+    if in_q0 is None:
+        # two sink components: no pair graph, only per-state arrays
+        assert peak <= 256 * n
+    else:
+        estimate = pairgraph._oracle_bytes(sum(in_q0), k)
+        assert 0.9 * estimate <= peak <= estimate
+
+    # letter 0 replaced by a random n-cycle: Q0 is every state
+    cycle = np.random.default_rng(5).permutation(n)
+    table = A.table.copy()
+    table[cycle, 0] = np.roll(cycle, -1)
+    B = Automaton(n, k, table.tolist())
+    assert all(pairgraph.analyze_scc(B).in_q0)
+    estimate = pairgraph._oracle_bytes(n, k)
+    assert 0.9 * estimate <= _oracle_peak(B) <= estimate
 
 
 def test_default_budget(monkeypatch):
