@@ -99,11 +99,15 @@ class CheckOutcome:
     """Outcome of one two-letter pipeline run.
 
     LINEAR_FAIL carries exactly one reason; NOT_SYNCHRONIZING (two or more
-    sink components) and SYNCHRONIZING carry none.
+    sink components) and SYNCHRONIZING carry none.  A LINEAR_FAIL from
+    binary_linear_check also keeps ``in_q0``, the indicator of the unique
+    sink component (as sink_states gives it), so that the oracle need not
+    search for it again.
     """
 
     verdict: Verdict
     fail_reason: Optional[FailReason] = None
+    in_q0: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.verdict is Verdict.LINEAR_FAIL and self.fail_reason is None:
@@ -862,7 +866,7 @@ def binary_linear_check(A) -> CheckOutcome:
 
     Returns SYNCHRONIZING (proof), NOT_SYNCHRONIZING (definitive negative
     from the sink-component test), or LINEAR_FAIL with the first failed
-    guard.  It never touches the quadratic oracle.
+    guard and the sink component.  It never touches the quadratic oracle.
     """
     if A.k != 2:
         raise ValueError(f"binary pipeline needs exactly 2 letters, got k={A.k}")
@@ -874,18 +878,27 @@ def binary_linear_check(A) -> CheckOutcome:
     in_q0 = sink_states(A, cs0)
     if in_q0 is None:
         return CheckOutcome(Verdict.NOT_SYNCHRONIZING)
+    reason = _first_failed_guard(A, cs0, in_q0)
+    if reason is None:
+        return CheckOutcome(Verdict.SYNCHRONIZING)
+    return CheckOutcome(Verdict.LINEAR_FAIL, reason, in_q0)
 
+
+def _first_failed_guard(A, cs0, in_q0) -> Optional[FailReason]:
+    """Steps 2 to 7 of the pipeline: the first guard that fails, or None
+    when every guard passes, which proves A synchronizing."""
+    n = A.n
     # letter 1's structure is built only once the cheaper counts pass: C_n's
     # letter 1 has n - 1 fixed points, which fail the count on their own
     if not (cluster_count_ok(cs0, n) and fixed_points_ok(A, 1)):
-        return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS)
+        return FailReason.TOO_MANY_CLUSTERS
     cs1 = build_cluster_structure(A, 1)
     if not cluster_count_ok(cs1, n):
-        return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TOO_MANY_CLUSTERS)
+        return FailReason.TOO_MANY_CLUSTERS
 
     candidates = tallest_branch_candidates(cs0, cs1)
     if not candidates:
-        return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.NO_UNIQUE_TALLEST_BRANCH)
+        return FailReason.NO_UNIQUE_TALLEST_BRANCH
     cs_by_letter = (cs0, cs1)
 
     # the seed pair, its multiplication, and the cluster-graph gluing all
@@ -914,24 +927,23 @@ def binary_linear_check(A) -> CheckOutcome:
         glued = True
         break
     if not glued:
-        return CheckOutcome(Verdict.LINEAR_FAIL, first_fail)
+        return first_fail
 
     lhat = (large_state_mask(cs0, n), large_state_mask(cs1, n))
     orderings = ((0, 1), (1, 0))
     for a, b in orderings:
         if not check_cycle_majority(cs_by_letter[a], lhat[b]):
-            return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.CYCLE_MAJORITY_FAIL)
+            return FailReason.CYCLE_MAJORITY_FAIL
     for a, b in orderings:
         if not check_two_cycles(A, cs_by_letter[a], b, lhat[a], lhat[b]):
-            return CheckOutcome(Verdict.LINEAR_FAIL, FailReason.TWO_CYCLE_FAIL)
+            return FailReason.TWO_CYCLE_FAIL
     for a, b in orderings:
         col_b = _column(A, b)
         flags = cycle_closure_flags(cs_by_letter[a], col_b, lhat[a], lhat[b])
         reason = check_cycle_pairs(cs_by_letter[a], lhat[b], flags, n)
         if reason is not None:
-            return CheckOutcome(Verdict.LINEAR_FAIL, reason)
-
-    return CheckOutcome(Verdict.SYNCHRONIZING)
+            return reason
+    return None
 
 
 def _sink_negative(A) -> Optional[CheckReport]:
@@ -988,4 +1000,8 @@ def check_synchronizing(A, oracle_cap: int | None = None) -> CheckReport:
     report = linear_check(A)
     if report.synchronizing is not None:
         return report
-    return CheckReport(synch_slow(A, cap=oracle_cap), "fallback", report.outcomes)
+    # with two letters pair (0, 1) is A itself, so the oracle can start from
+    # the sink component that its pipeline run found
+    in_q0 = report.outcomes[0].outcome.in_q0 if A.k == 2 and report.outcomes else None
+    return CheckReport(synch_slow(A, cap=oracle_cap, _in_q0=in_q0), "fallback",
+                       report.outcomes)

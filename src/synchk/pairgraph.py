@@ -10,10 +10,27 @@ Pair {p, q} with q <= p lives at triangular index p(p+1)/2 + q.  The reversed
 edges are kept in CSR layout: the predecessors of pair v are
 ``rev[offs[v]:offs[v + 1]]``.  Tiny automata build that layout in plain
 Python, where NumPy's per-call overhead would dominate; larger ones build it
-in NumPy.  The BFS expands the frontier level by level in NumPy while it is
-wide, then finishes in a scalar loop: the Cerny automaton C_n has about
-n^2/2 BFS levels of a single pair each, where one NumPy step per level would
-cost more than the scalar loop.
+in NumPy from the k pair images.  The BFS expands the frontier level by
+level in NumPy while it is wide, then finishes in a scalar loop: the Cerny
+automaton C_n has about n^2/2 BFS levels of a single pair each, where one
+NumPy step per level would cost more than the scalar loop.
+
+From SWEEP_MIN_N (64) states the search starts bottom-up, as in
+direction-optimizing BFS, on the pair images alone.  Each sweep marks every
+open pair that has an image already reached, and the search ends when a
+sweep adds nothing.  The open pairs' ids and images are compacted once
+half of them are reached.  Uniform random automata and 2-fold covers are
+done in 5 to 9 sweeps, without the reverse edges, whose build took about as
+long as the top-down BFS itself.  A thin search hands over: when a sweep
+reaches under 1/8 of the open pairs and under 1.5 times the previous
+sweep's count while over m/8 pairs are open, the reverse CSR is built from
+the same images, and the top-down BFS carries on from the pairs the last
+sweep reached.  C_n hands over after two sweeps.  The sweeps read at most
+32 k m images in all, past which they hand over too, so the search stays
+O(k n^2).  Below 64 states the search is top-down from the start.
+Sweeping is faster there as well, but acceptance criterion 5 times this
+oracle at n = 50 against the linear pipeline, and it would take most of
+that gate's margin.
 
 From NUMPY_MIN_N states ``synch_slow`` searches only the pairs of the sink
 component Q0, the strongly connected component with no edge out of it.
@@ -52,11 +69,23 @@ NUMPY_MIN_N = 16
 
 # The BFS expands frontiers of at least WIDE_MIN pairs level by level in NumPy,
 # then drains the rest of the search in a scalar loop.  NumPy works in
-# chunks of WIDE_CHUNK frontier pairs, so its temporaries stay small: about
-# 1 MB at k = 2, which the BFS, holding fewer bytes a pair than the CSR
-# build, leaves room for within _oracle_bytes from about 500 states.
+# chunks of WIDE_CHUNK pairs, here and in the sweeps below, so its
+# temporaries stay small: about (16k + 32) bytes a chunk pair, 1 MB at
+# k = 2, which _oracle_bytes allows for on top of its per-pair count.
 WIDE_MIN = 64
 WIDE_CHUNK = 1 << 14
+
+# From SWEEP_MIN_N states the search starts with bottom-up sweeps (_sweep),
+# below it top-down (the module docstring says why).  A sweep is thin when
+# it reaches fewer than 1/THIN_SHARE of the pairs open before it and fewer
+# than THIN_GROWTH times as many as the sweep before it, while more than
+# m/THIN_SHARE pairs are still open.  A thin sweep hands the search over to
+# the reverse CSR and the top-down BFS, and so does the sweep that takes
+# the sweeps past SWEEP_READS * k * m image reads in all.
+SWEEP_MIN_N = 64
+THIN_SHARE = 8
+THIN_GROWTH = 1.5
+SWEEP_READS = 32
 
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
@@ -70,11 +99,14 @@ def _oracle_bytes(n: int, k: int) -> int:
     """Estimated peak bytes the NumPy oracle allocates for n states, k letters.
 
     The peak is the larger of two phases: the k pair images next to the four
-    index arrays that build them, and the images next to their int64 argsort.
-    With int32 indices that is 25 bytes per pair at k = 1 and 12k + 5 above
-    (29 at k = 2, 53 at k = 4), which is what the peak RSS grows by between
-    n = 1000 and n = 3000 on uniform automata.  Per-state arrays add less
-    than 256 bytes a state.
+    index arrays that build them, and the images next to their int64 argsort
+    when the search builds the reverse CSR.  With int32 indices that is 25
+    bytes per pair at k = 1 and 12k + 5 above (29 at k = 2, 53 at k = 4),
+    which is what the peak RSS grows by between n = 1000 and n = 3000 on
+    uniform automata.  The sweeps hold fewer bytes a pair, and they free
+    theirs before a handover builds the CSR.  Per-state arrays add less than
+    256 bytes a state, and the chunk temporaries of the sweeps and of the
+    BFS a fixed (16k + 32) * WIDE_CHUNK bytes.
 
     This bounds an n-state input, and the refusal is decided on it.  From
     NUMPY_MIN_N states synch_slow builds the pair graph of the sink
@@ -82,7 +114,8 @@ def _oracle_bytes(n: int, k: int) -> int:
     """
     m = n * (n + 1) // 2
     w = _index_dtype(m, k).itemsize
-    return m * (max((k + 4) * w + 4, (w + 8) * k + w) + 1) + 256 * n
+    return (m * (max((k + 4) * w + 4, (w + 8) * k + w) + 1) + 256 * n
+            + (16 * k + 32) * WIDE_CHUNK)
 
 
 def _default_cap(k: int) -> int:
@@ -264,8 +297,9 @@ def _csr_python(A, m):
     return rev, offs
 
 
-def _csr_numpy(A, m):
-    """Reverse CSR (rev, offs) as NumPy arrays of the index dtype."""
+def _images(A, m):
+    """The (k, m) pair images: row a, entry u is the pair that letter a
+    maps pair u to.  The index dtype is _index_dtype's."""
     n, k = A.n, A.k
     dt = _index_dtype(m, k)
     states = np.arange(n, dtype=dt)
@@ -285,8 +319,14 @@ def _csr_numpy(A, m):
         np.minimum(cp, cq, out=cp)
         del cq
         np.add(tri[row], cp, out=row)
-    del p, q, cp
+    return imgs
 
+
+def _csr_from_images(imgs, m, ids=None):
+    """Reverse CSR (rev, offs) of the edges from the pairs ``ids`` (every
+    pair, in order, when None) to their images ``imgs``, a (k, len(ids))
+    array whose buffer becomes ``rev``."""
+    dt = imgs.dtype
     # one letter at a time: bincount casts its input to int64
     offs = np.zeros(m + 1, dtype=dt)
     for row in imgs:
@@ -296,8 +336,64 @@ def _csr_numpy(A, m):
     # predecessors in any order within a bucket: the unstable sort is faster
     order = np.argsort(flat)
     rev = flat  # reuse the images' buffer, no longer needed once sorted
-    np.remainder(order, m, out=rev, casting="unsafe")
+    np.remainder(order, imgs.shape[1], out=rev, casting="unsafe")
+    del order
+    if ids is not None:
+        rev = ids[rev]
     return rev, offs
+
+
+def _sweep(imgs, flags, n):
+    """Bottom-up search over the pair images ``imgs`` of every pair, from
+    the n diagonal pairs reached in ``flags``.
+
+    Each sweep marks, in ``flags``, every open pair with an image already
+    reached, so the search is finished when a sweep adds nothing; that
+    returns None.  The open pairs' ids and images are compacted once the
+    open set has halved.  A thin sweep hands the search over instead: the
+    return value is then the open pairs' images, their ids (None for every
+    pair) and the pairs the last sweep reached, the only reached pairs
+    whose predecessors may still be open.
+    """
+    k, m = imgs.shape
+    live = flags ^ 1  # 1 at the positions of open pairs
+    ids = None
+    n_open = m - n
+    prev = 0
+    budget = SWEEP_READS * m  # pairs scanned, k image reads each
+    while True:
+        size = imgs.shape[1]
+        budget -= size
+        new = []
+        for s in range(0, size, WIDE_CHUNK):
+            rows = imgs[:, s:s + WIDE_CHUNK]
+            hit = flags.take(rows[0])
+            for row in rows[1:]:
+                hit |= flags.take(row)
+            hit &= live[s:s + WIDE_CHUNK]
+            pos = np.flatnonzero(hit)
+            if len(pos):
+                pos += s
+                live[pos] = 0
+                if ids is not None:
+                    pos = ids[pos]
+                flags[pos] = 1
+                new.append(pos)
+        got = sum(map(len, new))
+        if not got or got == n_open:
+            return None
+        was_open = n_open
+        n_open -= got
+        if 2 * n_open <= size:
+            keep = np.flatnonzero(live).astype(imgs.dtype)
+            imgs = imgs[:, keep]
+            ids = keep if ids is None else ids[keep]
+            live = np.ones(n_open, dtype=np.uint8)
+        productive = (THIN_SHARE * got >= was_open or got >= THIN_GROWTH * prev
+                      or THIN_SHARE * n_open <= m)
+        if budget < 0 or not productive:
+            return imgs, ids, new
+        prev = got
 
 
 def _expand(rev, offs, reached, owner, frontier):
@@ -376,10 +472,19 @@ def _reach(A):
         _drain(rev, offs, reached, diagonal)
         return reached
 
-    rev, offs = _csr_numpy(A, m)
     flags = np.frombuffer(reached, dtype=np.uint8)
+    if n < SWEEP_MIN_N:
+        imgs, ids = _images(A, m), None
+        frontier = [np.array(diagonal, dtype=imgs.dtype)]
+    else:
+        handover = _sweep(_images(A, m), flags, n)
+        if handover is None:
+            return reached
+        imgs, ids, frontier = handover
+        del handover
+    rev, offs = _csr_from_images(imgs, m, ids)
+    del imgs, ids
     owner = np.empty(m, dtype=rev.dtype)
-    frontier = [np.array(diagonal, dtype=rev.dtype)]
     while sum(map(len, frontier)) >= WIDE_MIN:
         frontier = _expand(rev, offs, flags, owner, frontier)
     if frontier:
@@ -388,7 +493,7 @@ def _reach(A):
     return reached
 
 
-def synch_slow(A, cap: int | None = None) -> bool:
+def synch_slow(A, cap: int | None = None, *, _in_q0=None) -> bool:
     """True iff A is synchronizing.  O(k n^2) time and memory.
 
     Raises OracleCapExceeded when n is past ``cap``, or, with no cap given,
@@ -402,11 +507,15 @@ def synch_slow(A, cap: int | None = None) -> bool:
     synchronizing iff Q0 is unique and every pair of Q0 merges, and the BFS
     on the sub-automaton is the same search restricted to those pairs.
     Two or more sink components give False with no pair graph at all.
+
+    ``_in_q0`` is for lincheck's driver, which has often found Q0 already:
+    the indicator of A's unique sink component, in place of running Tarjan
+    again.
     """
     _refuse(A, cap)
     n = A.n
     if n >= NUMPY_MIN_N:
-        in_q0 = analyze_scc(A).in_q0
+        in_q0 = analyze_scc(A).in_q0 if _in_q0 is None else _in_q0
         if in_q0 is None:
             return False
         inside = np.frombuffer(in_q0, dtype=np.bool_)

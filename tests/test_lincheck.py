@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synchk import lincheck
+from synchk import lincheck, pairgraph
 from synchk.automaton import Automaton, generate_uniform
 from synchk.lincheck import (
     CheckOutcome,
@@ -44,6 +44,7 @@ from helpers import (
     collect_stable_pairs,
     cycle_structured_function,
     planted_two_blocks,
+    random_cover,
     validate_cluster_structure,
 )
 
@@ -819,6 +820,31 @@ def test_check_synchronizing_oracle_cap(parity4):
     # a linear-phase answer never consults the oracle, so the cap is moot
     rep = check_synchronizing(generate_uniform(40, 2, 0), oracle_cap=3)
     assert rep.synchronizing is True and rep.method == "linear"
+
+
+def test_fallback_reuses_the_pipeline_sink_component(monkeypatch):
+    """With two letters the oracle starts from the sink component that the
+    pipeline found, on both sides of NUMPY_MIN_N, and runs no second
+    Tarjan; with more letters it finds Q0 itself."""
+    def no_tarjan(A):
+        raise AssertionError("the oracle ran Tarjan again")
+    rng = random.Random(21)
+    # a tail of transient states makes Q0 a proper subset
+    tails = [Automaton(n + 5, 2, list(cerny(n).delta) + [rng.randrange(n) for _ in range(10)])
+             for n in (30, 250)]
+    cases = [(A, True) for A in tails] + [(random_cover(b, 2, rng), False) for b in (20, 150)]
+    monkeypatch.setattr(pairgraph, "analyze_scc", no_tarjan)
+    for A, truth in cases:
+        rep = check_synchronizing(A)
+        assert (rep.synchronizing, rep.method) == (truth, "fallback"), A.n
+        assert rep.outcomes[0].outcome.in_q0 is not None
+    calls = []
+    monkeypatch.setattr(pairgraph, "analyze_scc",
+                        lambda A: calls.append(A.n) or analyze_scc(A))
+    c30 = cerny(30).delta
+    wide = Automaton(30, 3, [d for q in range(30) for d in (c30[2 * q], c30[2 * q + 1], q)])
+    assert check_synchronizing(wide).synchronizing is True
+    assert calls == [30]
 
 
 def test_check_synchronizing_equals_oracle_sweep():

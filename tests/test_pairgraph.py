@@ -14,21 +14,28 @@ from helpers import (
     all_permutations, brute_force_synchronizing, cerny, enumerate_automata,
     planted_two_blocks, random_cover, relabel)
 
-# (NUMPY_MIN_N, WIDE_MIN) for each way through the oracle: the Python CSR
-# builder, then the NumPy one with the default BFS switch, with every level
-# expanded in NumPy, and with the whole BFS in the scalar queue.
+# Module settings for each way through the oracle: the Python CSR builder;
+# the NumPy one, top-down from the diagonal, with the default BFS switch,
+# with every level expanded in NumPy and with the whole BFS in the scalar
+# queue; then bottom-up sweeps to the end, and one sweep handed over to the
+# reverse CSR.
+TOP_DOWN = {"SWEEP_MIN_N": 10**9}
 ORACLE_PATHS = {
-    "python": (10**9, pairgraph.WIDE_MIN),
-    "numpy": (0, pairgraph.WIDE_MIN),
-    "numpy-wide": (0, 1),
-    "numpy-narrow": (0, 10**9),
+    "python": {"NUMPY_MIN_N": 10**9},
+    "numpy": {"NUMPY_MIN_N": 0, **TOP_DOWN},
+    "numpy-wide": {"NUMPY_MIN_N": 0, "WIDE_MIN": 1, **TOP_DOWN},
+    "numpy-narrow": {"NUMPY_MIN_N": 0, "WIDE_MIN": 10**9, **TOP_DOWN},
+    "sweep": {"NUMPY_MIN_N": 0, "SWEEP_MIN_N": 0, "THIN_SHARE": 1, "SWEEP_READS": 10**9},
+    "sweep-handover": {"NUMPY_MIN_N": 0, "SWEEP_MIN_N": 0, "SWEEP_READS": 0},
 }
 
 
+_DEFAULTS = {attr: getattr(pairgraph, attr) for path in ORACLE_PATHS.values() for attr in path}
+
+
 def _force_path(monkeypatch, name):
-    min_n, wide = ORACLE_PATHS[name]
-    monkeypatch.setattr(pairgraph, "NUMPY_MIN_N", min_n)
-    monkeypatch.setattr(pairgraph, "WIDE_MIN", wide)
+    for attr, value in {**_DEFAULTS, **ORACLE_PATHS[name]}.items():
+        monkeypatch.setattr(pairgraph, attr, value)
 
 
 def test_known_positive(cerny4):
@@ -144,10 +151,11 @@ def _structured_cases():
 
 
 def test_oracle_paths_agree_on_every_pair(monkeypatch):
-    """Both CSR builders, every BFS mode and both index widths give the same
-    reached array.  On every path the verdict, which from NUMPY_MIN_N states
-    comes from the sink component alone, is the full pair graph's and the
-    known one (brute force's where n <= 7)."""
+    """Both CSR builders, every BFS mode, the sweeps with and without a
+    handover, and both index widths give the same reached array.  On every
+    path the verdict, which from NUMPY_MIN_N states comes from the sink
+    component alone, is the full pair graph's and the known one (brute
+    force's where n <= 7)."""
     kinds = set()
     for A, truth in _structured_cases():
         in_q0 = pairgraph.analyze_scc(A).in_q0
@@ -167,7 +175,7 @@ def test_oracle_paths_agree_on_every_pair(monkeypatch):
             if truth is not None:
                 assert verdict == truth, (name, A.delta)
         monkeypatch.setattr(pairgraph, "_index_dtype", lambda m, k: np.dtype(np.int64))
-        for name in ("numpy", "numpy-wide"):
+        for name in ("numpy", "numpy-wide", "sweep", "sweep-handover"):
             _force_path(monkeypatch, name)
             reached[name + "-int64"] = bytes(pairgraph._pair_reach(A, None))
         monkeypatch.undo()
@@ -183,10 +191,78 @@ def test_oracle_paths_agree_on_every_pair(monkeypatch):
 def test_two_sinks_build_no_pair_graph(monkeypatch):
     def no_pair_graph(A, m):
         raise AssertionError("the oracle built a pair graph for two sinks")
-    monkeypatch.setattr(pairgraph, "_csr_numpy", no_pair_graph)
+    monkeypatch.setattr(pairgraph, "_images", no_pair_graph)
     rng = random.Random(7)
     for k in (1, 2, 3):
         assert not synch_slow(planted_two_blocks(pairgraph.NUMPY_MIN_N + 10, k, range(k), rng))
+
+
+def test_covers_decide_by_sweeping_alone(monkeypatch):
+    """Covers, the benchmark's oracle-bound case, finish bottom-up: no
+    reverse CSR and no sort."""
+    def no_csr(*args, **kwargs):
+        raise AssertionError("the oracle built the reverse CSR")
+    monkeypatch.setattr(pairgraph, "_csr_from_images", no_csr)
+    monkeypatch.setattr(np, "argsort", no_csr)
+    rng = random.Random(400)
+    for _ in range(3):
+        A = random_cover(200, 2, rng)
+        assert not synch_slow(relabel(A, rng.sample(range(A.n), A.n)))
+
+
+def _fixpoint(A):
+    """Reached flags from the diagonal by a NumPy fixpoint: a pair is
+    reached once its image under some letter is."""
+    n = A.n
+    hi, lo = np.tril_indices(n)  # pair {p, q}, q <= p, at p(p+1)/2 + q
+    table = np.array(A.delta).reshape(n, A.k)
+
+    def pair_id(x, y):
+        big, small = np.maximum(x, y), np.minimum(x, y)
+        return big * (big + 1) // 2 + small
+
+    imgs = [pair_id(table[hi, a], table[lo, a]) for a in range(A.k)]
+    reached = hi == lo
+    while True:
+        grown = reached.copy()
+        for img in imgs:
+            grown |= reached[img]
+        if (grown == reached).all():
+            return grown.astype(np.uint8).tobytes()
+        reached = grown
+
+
+def _slow_growth_cases(rng):
+    """Searches that grow by a few pairs a level, from SWEEP_MIN_N states."""
+    for n in (70, 100):
+        yield relabel(cerny(n), rng.sample(range(n), n))
+        yield _cerny_letters(n, 4)
+        perm = rng.sample(range(n), n)
+        merge = list(range(n))
+        merge[rng.randrange(n)] = rng.randrange(n)
+        yield Automaton(n, 2, list(zip(perm, merge)))
+        yield Automaton(n, 2, [(min(q + 1, n - 1), perm[q]) for q in range(n)])
+
+
+def test_slow_growth_matches_fixpoint(monkeypatch):
+    """Every oracle path gives the reference's reached array on thin,
+    deep searches, and by default C_n is handed over to the reverse CSR."""
+    handovers = []
+    build = pairgraph._csr_from_images
+    monkeypatch.setattr(pairgraph, "_csr_from_images",
+                        lambda *args: handovers.append(1) or build(*args))
+    cases = list(_slow_growth_cases(random.Random(11)))
+    for A in cases:
+        want = _fixpoint(A)
+        assert bytes(pairgraph._pair_reach(A, None)) == want, A.delta
+        for name in ORACLE_PATHS:
+            _force_path(monkeypatch, name)
+            assert bytes(pairgraph._pair_reach(A, None)) == want, (name, A.delta)
+        for attr, value in _DEFAULTS.items():
+            monkeypatch.setattr(pairgraph, attr, value)
+    handovers.clear()
+    synch_slow(cases[0])
+    assert handovers
 
 
 def test_index_dtype_widens_before_int32_wraps():
@@ -201,20 +277,45 @@ def test_index_dtype_widens_before_int32_wraps():
     assert pairgraph._index_dtype(m(1000), 5) == np.int32
 
 
-def _oracle_peak(A):
+def _oracle_peak(A, search=synch_slow):
     tracemalloc.start()
     try:
-        synch_slow(A)
+        search(A)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _with_cycle_letter(A, seed):
+    """A with letter 0 replaced by a random n-cycle: Q0 is every state."""
+    cycle = np.random.default_rng(seed).permutation(A.n)
+    table = A.table.copy()
+    table[cycle, 0] = np.roll(cycle, -1)
+    return Automaton(A.n, A.k, table.tolist())
+
+
+def _cerny_letters(n, k):
+    """C_n's two letters repeated over k letters: a thin search on every
+    state, handed over to the reverse CSR."""
+    delta = cerny(n).delta
+    return Automaton(n, k, [delta[q * 2 + a % 2] for q in range(n) for a in range(k)])
+
+
+def _path(n):
+    """One letter moving each state to the next, the last one fixed."""
+    return Automaton(n, 1, [min(q + 1, n - 1) for q in range(n)])
+
+
+def _full_search(A):
+    return pairgraph._pair_reach(A, None)
+
+
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_memory_estimate_bounds_the_allocations(k):
     """The estimate for n states bounds the oracle; the pair graph it
-    builds is that of the sink component Q0, and the estimate for |Q0|
-    states is tight on it."""
+    builds is that of the sink component Q0, so the estimate for |Q0|
+    states bounds it too.  Sweeps hold less than the reverse CSR, so the
+    estimate is tight on a search handed over to it."""
     n = 1000
     A = generate_uniform(n, k, 5)
     in_q0 = pairgraph.analyze_scc(A).in_q0
@@ -224,17 +325,26 @@ def test_memory_estimate_bounds_the_allocations(k):
         # two sink components: no pair graph, only per-state arrays
         assert peak <= 256 * n
     else:
-        estimate = pairgraph._oracle_bytes(sum(in_q0), k)
-        assert 0.9 * estimate <= peak <= estimate
-
-    # letter 0 replaced by a random n-cycle: Q0 is every state
-    cycle = np.random.default_rng(5).permutation(n)
-    table = A.table.copy()
-    table[cycle, 0] = np.roll(cycle, -1)
-    B = Automaton(n, k, table.tolist())
+        assert peak <= pairgraph._oracle_bytes(sum(in_q0), k)
+    B = _with_cycle_letter(A, 5)
     assert all(pairgraph.analyze_scc(B).in_q0)
     estimate = pairgraph._oracle_bytes(n, k)
-    assert 0.9 * estimate <= _oracle_peak(B) <= estimate
+    assert _oracle_peak(B) <= estimate
+
+    # at k = 1, a path letter through _pair_reach: synch_slow would search
+    # its sink component, one state
+    thin, search = (_path(n), _full_search) if k == 1 else (_cerny_letters(n, k), synch_slow)
+    assert 0.9 * estimate <= _oracle_peak(thin, search) <= estimate
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_memory_estimate_bounds_small_inputs(k):
+    """At 300 states the chunk temporaries are a large share of the peak,
+    on sweeps and on the top-down search alike."""
+    n = 300
+    estimate = pairgraph._oracle_bytes(n, k)
+    for A in (_with_cycle_letter(generate_uniform(n, k, 5), 5), _cerny_letters(n, k)):
+        assert _oracle_peak(A) <= estimate
 
 
 def test_default_budget(monkeypatch):
@@ -250,7 +360,7 @@ def test_default_budget(monkeypatch):
     # refused before anything is allocated, though below DEFAULT_ORACLE_CAP
     def no_alloc(A, m):
         raise AssertionError("the oracle allocated past its budget")
-    monkeypatch.setattr(pairgraph, "_csr_numpy", no_alloc)
+    monkeypatch.setattr(pairgraph, "_images", no_alloc)
     n = caps[2] + 1
     with pytest.raises(OracleCapExceeded) as exc:
         synch_slow(generate_uniform(n, 4, 0))
