@@ -9,9 +9,12 @@ is expected to fall back to the quadratic oracle.  Each guard is O(n) or
 sublinear and is designed to fail only rarely on uniform random input, which
 is what makes the combined pipeline linear in expectation.
 
-From NUMPY_MIN_N states every O(n) pass (the sink test, the two cluster
-decompositions and the per-state guards) runs in NumPy; below it, where
-NumPy's fixed per-call cost would dominate, in pure Python.
+The sink test is a reachability search from letter 0's cycles at every
+size; Tarjan's algorithm runs only when letter 0 has more than 5 ln n
+cycles, where the pipeline fails its cluster count anyway.  From
+NUMPY_MIN_N states the two cluster decompositions and the per-state guards
+run in NumPy; below it, where NumPy's fixed per-call cost would dominate,
+in pure Python.
 
 Pipeline order for a two-letter automaton:
 
@@ -52,10 +55,10 @@ __all__ = [
     "check_synchronizing",
 ]
 
-# From this many states every O(n) pass of the pipeline runs in NumPy: the
-# cluster decompositions, the sink test and the per-state guards.  Below it
-# the pure-Python passes are faster than NumPy's fixed per-call cost; the
-# two cross near n = 200.
+# From this many states the cluster decompositions and the per-state guards
+# run in NumPy.  Below it the pure-Python passes are faster than NumPy's
+# fixed per-call cost; the two cross near n = 200.  The sink test does not
+# depend on it: its reachability search runs at every size.
 NUMPY_MIN_N = 200
 
 # The sink test's reachability search expands its pending states in NumPy
@@ -100,9 +103,9 @@ class CheckOutcome:
 
     LINEAR_FAIL carries exactly one reason; NOT_SYNCHRONIZING (two or more
     sink components) and SYNCHRONIZING carry none.  A LINEAR_FAIL from
-    binary_linear_check also keeps ``in_q0``, the indicator of the unique
-    sink component (as sink_states gives it), so that the oracle need not
-    search for it again.
+    binary_linear_check also keeps ``in_q0``, the bool indicator of the
+    unique sink component that sink_states found, so that the oracle need
+    not search for it again.
     """
 
     verdict: Verdict
@@ -170,15 +173,15 @@ def _column(A, a: int):
 
 
 def sink_states(A, cs0=None):
-    """Indicator over states of the unique sink component, or None when A
-    has two or more.
+    """Bool indicator over states of the unique sink component, or None
+    when A has two or more.
 
-    ``cs0`` is letter 0's cluster structure, built here when not given.  From
-    NUMPY_MIN_N states the answer is a bool array, computed from cs0: every
-    sink component holds a letter-0 cycle, each state reaches at least one
-    sink component, and a state of a sink component reaches exactly its own
-    component.  So the states reachable from every letter-0 cycle form the
-    sink component when it is unique, and none when there are two.
+    ``cs0`` is letter 0's cluster structure, built here when not given.  The
+    answer comes from cs0 at every size: every sink component holds a
+    letter-0 cycle, each state reaches at least one sink component, and a
+    state of a sink component reaches exactly its own component.  So the
+    states reachable from every letter-0 cycle form the sink component when
+    it is unique, and none when there are two.
 
     The cycles are searched from in decreasing order of cluster size.  A
     state of a cluster searched earlier reaches that cluster's cycle, so it
@@ -186,17 +189,13 @@ def sink_states(A, cs0=None):
     leaves the intersection as it is and stops.  On a random automaton
     that leaves about one full search.  A letter with more than 5 ln n
     cycles fails the cluster-count guard anyway, so there the searches
-    would buy nothing, and Tarjan decides.  Below NUMPY_MIN_N, Tarjan gives
-    a bytearray.
+    would buy nothing, and Tarjan decides.
     """
     n = A.n
-    if n < NUMPY_MIN_N:
-        return analyze_scc(A).in_q0
     if cs0 is None:
         cs0 = build_cluster_structure(A, 0)
     if not cluster_count_ok(cs0, n):
-        in_q0 = analyze_scc(A).in_q0
-        return None if in_q0 is None else np.frombuffer(in_q0, dtype=np.bool_)
+        return analyze_scc(A)
     order = sorted(range(cs0.n_clusters), key=cs0.sizes.__getitem__, reverse=True)
     turn = np.empty(len(order), dtype=np.int32)
     turn[order] = range(len(order))
@@ -556,7 +555,7 @@ def stable_seed(info: TallestBranchInfo, in_q0, cs: ClusterStructure):
     cutoff = info.second_height
     if isinstance(h, np.ndarray):
         tall = np.flatnonzero(h > cutoff)
-        if ((br[tall] == root) & np.asarray(in_q0)[tall]).any():
+        if ((br[tall] == root) & in_q0[tall]).any():
             return (info.cycle_pred, info.root)
         return None
     for q in range(len(h)):
@@ -632,13 +631,9 @@ def multiply_stable_pairs(A, seed_pair, a1: int, a2: int):
 
 
 def large_state_mask(cs: ClusterStructure, n: int):
-    """Indicator over states of membership in a large cluster (size > n^0.45):
-    a bytearray, or a bool array when the structure holds arrays."""
-    thr = n ** 0.45
-    if isinstance(cs.cluster, np.ndarray):
-        return (np.array(cs.sizes) > thr).take(cs.cluster)
-    big = [sz > thr for sz in cs.sizes]
-    return bytearray(big[c] for c in cs.cluster)
+    """Bool indicator over states of membership in a large cluster (size >
+    n^0.45)."""
+    return (np.array(cs.sizes) > n ** 0.45).take(cs.cluster)
 
 
 def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
@@ -706,7 +701,7 @@ def check_cluster_graph(cs: ClusterStructure, z: StablePairSet, n: int):
 # step 7: cycle coverage conditions
 
 
-def check_cycle_majority(cs_a: ClusterStructure, lhat_b: bytearray) -> bool:
+def check_cycle_majority(cs_a: ClusterStructure, lhat_b) -> bool:
     """Every cycle longer than 2 needs at least half its states (rounded up)
     inside the other letter's large clusters."""
     lhat_b = _scalars(lhat_b)
@@ -725,7 +720,7 @@ def check_cycle_majority(cs_a: ClusterStructure, lhat_b: bytearray) -> bool:
 
 
 def check_two_cycles(A, cs_a: ClusterStructure, b: int,
-                     lhat_a: bytearray, lhat_b: bytearray) -> bool:
+                     lhat_a, lhat_b) -> bool:
     """Coverage conditions on 2-cycles of letter a.
 
     A 2-cycle C already inside the other letter's large clusters is fine.

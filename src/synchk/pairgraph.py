@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -152,56 +151,21 @@ class OracleCapExceeded(RuntimeError):
         self.nbytes = nbytes
 
 
-@dataclass
-class SccAnalysis:
-    """Strongly connected components of the full transition graph.
-
-    ``minimal`` lists the components without outgoing edges.  A synchronizing
-    automaton has exactly one of those; every synchronizing word ends inside
-    it.  ``in_q0`` (and ``q0``, derived from it) describe that component when
-    it is unique.
-    """
-
-    comp: array
-    n_components: int
-    minimal: tuple
-    in_q0: Optional[bytearray]
-
-    @property
-    def multiple_minimal(self) -> bool:
-        return len(self.minimal) >= 2
-
-    @property
-    def q0(self) -> Optional[list]:
-        if self.in_q0 is None:
-            return None
-        return [q for q, inside in enumerate(self.in_q0) if inside]
-
-    def components(self) -> list:
-        buckets = [[] for _ in range(self.n_components)]
-        for q, c in enumerate(self.comp):
-            buckets[c].append(q)
-        return buckets
-
-
-def analyze_scc(A) -> SccAnalysis:
-    """Iterative Tarjan over all letters, plus sink-component bookkeeping.
+def analyze_scc(A) -> Optional[np.ndarray]:
+    """The indicator over states of A's unique sink component Q0, a bool
+    array, or None when A has two or more.  Iterative Tarjan over all
+    letters.
 
     Working arrays are typed 32-bit buffers: the traversal order is data
     dependent, and compact storage keeps the random accesses cache-resident
-    on large inputs.  As with the CSR builders, the transitions are read
-    from the flat tuple below NUMPY_MIN_N states and from the table above.
+    on large inputs.
     """
     n, k = A.n, A.k
-    if n < NUMPY_MIN_N:
-        delta = array("i", A.delta)
-    else:
-        delta = array("i")
-        delta.frombytes(A.table.tobytes())
+    delta = array("i", A.table.tobytes())
     index = array("i", bytes(4 * n))  # 1-based discovery order, 0 = unvisited
     low = array("i", bytes(4 * n))
     on_stack = bytearray(n)
-    comp = array("i", [-1]) * n
+    comp = array("i", bytes(4 * n))
     comp_stack = []
     ncomp = 0
     counter = 1
@@ -243,22 +207,13 @@ def analyze_scc(A) -> SccAnalysis:
                 if call_v and low[v] < low[call_v[-1]]:
                     low[call_v[-1]] = low[v]
 
-    has_out = bytearray(ncomp)
-    for q in range(n):
-        cq = comp[q]
-        if has_out[cq]:
-            continue
-        base = q * k
-        for a in range(k):
-            if comp[delta[base + a]] != cq:
-                has_out[cq] = 1
-                break
-    minimal = tuple(c for c in range(ncomp) if not has_out[c])
-    in_q0 = None
-    if len(minimal) == 1:
-        c0 = minimal[0]
-        in_q0 = bytearray(c == c0 for c in comp)
-    return SccAnalysis(comp=comp, n_components=ncomp, minimal=minimal, in_q0=in_q0)
+    # the first component Tarjan completes has no edge out, so Q0 is
+    # component 0 when every other component has an edge out
+    comp = np.frombuffer(comp, dtype=np.int32)
+    exits = comp[(comp.take(A.table) != comp[:, None]).any(axis=1)]
+    if len(np.unique(exits)) < ncomp - 1:
+        return None
+    return comp == 0
 
 
 def _csr_python(A, m):
@@ -508,17 +463,17 @@ def synch_slow(A, cap: int | None = None, *, _in_q0=None) -> bool:
     on the sub-automaton is the same search restricted to those pairs.
     Two or more sink components give False with no pair graph at all.
 
-    ``_in_q0`` is for lincheck's driver, which has often found Q0 already:
-    the indicator of A's unique sink component, in place of running Tarjan
-    again.
+    ``_in_q0`` is for lincheck's driver, which has found Q0 already on a
+    two-letter automaton, by its reachability search: the bool indicator of
+    A's unique sink component, in place of running Tarjan here.  Tarjan
+    runs here only without it, for k != 2 or a direct call.
     """
     _refuse(A, cap)
     n = A.n
     if n >= NUMPY_MIN_N:
-        in_q0 = analyze_scc(A).in_q0 if _in_q0 is None else _in_q0
-        if in_q0 is None:
+        inside = analyze_scc(A) if _in_q0 is None else _in_q0
+        if inside is None:
             return False
-        inside = np.frombuffer(in_q0, dtype=np.bool_)
         states = np.flatnonzero(inside)
         if len(states) < n:
             # Q0's states renumbered 0..|Q0|-1 in increasing order

@@ -88,31 +88,21 @@ def test_outcome_validation():
 
 
 def test_scc_strongly_connected(cerny4):
-    scc = analyze_scc(cerny4)
-    assert scc.n_components == 1
-    assert scc.minimal == (0,)
-    assert not scc.multiple_minimal
-    assert sorted(scc.q0) == [0, 1, 2, 3]
-    assert bytes(scc.in_q0) == b"\x01\x01\x01\x01"
+    in_q0 = analyze_scc(cerny4)
+    assert in_q0.dtype == np.bool_
+    assert in_q0.tolist() == [True] * 4
 
 
 def test_scc_two_sinks():
     # 0,1 and 2,3 are separate closed components
     A = Automaton(4, 2, [(1, 1), (0, 0), (3, 3), (2, 2)])
-    scc = analyze_scc(A)
-    assert scc.multiple_minimal
-    assert scc.q0 is None and scc.in_q0 is None
+    assert analyze_scc(A) is None
 
 
 def test_scc_transient_states():
     # 2 falls into the 0-1 component and can never return
     A = Automaton(3, 1, [1, 0, 0])
-    scc = analyze_scc(A)
-    assert len(scc.minimal) == 1
-    assert sorted(scc.q0) == [0, 1]
-    comps = scc.components()
-    assert sorted(map(sorted, comps)) == [[0, 1], [2]]
-    assert sum(map(len, comps)) == 3
+    assert analyze_scc(A).tolist() == [True, True, False]
 
 
 def test_scc_matches_networkx():
@@ -122,21 +112,18 @@ def test_scc_matches_networkx():
         n = rng.randint(1, 12)
         k = rng.randint(1, 3)
         A = generate_uniform(n, k, rng.getrandbits(48))
-        scc = analyze_scc(A)
+        in_q0 = analyze_scc(A)
         g = nx.DiGraph()
         g.add_nodes_from(range(n))
         for q in range(n):
             for a in range(k):
                 g.add_edge(q, A.target(q, a))
-        comps = [frozenset(c) for c in nx.strongly_connected_components(g)]
-        assert scc.n_components == len(comps)
-        mine = {frozenset(c) for c in scc.components()}
-        assert mine == set(comps)
         cond = nx.condensation(g)
         sinks = [c for c in cond.nodes if cond.out_degree(c) == 0]
-        assert len(scc.minimal) == len(sinks)
         if len(sinks) == 1:
-            assert frozenset(scc.q0) == frozenset(cond.nodes[sinks[0]]["members"])
+            assert set(np.flatnonzero(in_q0).tolist()) == cond.nodes[sinks[0]]["members"]
+        else:
+            assert in_q0 is None
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +202,8 @@ def test_sink_test_matches_tarjan(monkeypatch):
     # the reachability sink test finds the same sink component as Tarjan,
     # or the same two-or-more; planted blocks closed under every letter give
     # two sinks, closed under some letters often one with transient states.
-    # Its searches run all in NumPy, by default, and all one state at a time.
-    _force_path(monkeypatch, "numpy")
+    # Its searches run all in NumPy, by default, and all one state at a
+    # time, from letter 0's cluster structure in list or in array form.
     search_modes = (1, lincheck.WIDE_MIN, 10**9)
     rng = random.Random(9090)
     outcomes = set()
@@ -225,16 +212,54 @@ def test_sink_test_matches_tarjan(monkeypatch):
             n = rng.randint(2, 300)
             closed = rng.choice((range(k), (0,), (k - 1,), ()))
             A = planted_two_blocks(n, k, closed, rng)
-            scc = analyze_scc(A)
-            for wide in search_modes:
+            want = analyze_scc(A)
+            for path, wide in product(LINCHECK_PATHS, search_modes):
+                _force_path(monkeypatch, path)
                 monkeypatch.setattr(lincheck, "WIDE_MIN", wide)
                 got = sink_states(A)
-                if scc.in_q0 is None:
-                    assert got is None, (wide, A.delta)
+                if want is None:
+                    assert got is None, (path, wide, A.delta)
                 else:
-                    assert got.tolist() == [bool(x) for x in scc.in_q0], (wide, A.delta)
+                    assert got.tolist() == want.tolist(), (path, wide, A.delta)
                 outcomes.add(got is None)
     assert outcomes == {False, True}
+
+
+def _few_letter_0_cycles(A):
+    return cluster_count_ok(build_cluster_structure(A, 0), A.n)
+
+
+def test_sink_test_runs_no_tarjan(monkeypatch):
+    # at every size the sink test is the reachability search; Tarjan runs
+    # only when letter 0 has more than 5 ln n cycles
+    def no_tarjan(A):
+        raise AssertionError("the linear phase ran Tarjan")
+    rng = random.Random(6060)
+    autos = []
+    for n in range(2, 200):
+        for k in (1, 2, 3):
+            autos.append(generate_uniform(n, k, rng.getrandbits(48)))
+            autos.append(planted_two_blocks(n, k, rng.choice((range(k), (0,), ())), rng))
+    autos = [A for A in autos if _few_letter_0_cycles(A)]
+    assert len(autos) > 900
+    for path in LINCHECK_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            _force_path(mp, path)
+            mp.setattr(lincheck, "analyze_scc", no_tarjan)
+            for A in autos:
+                linear_check(A)
+                check_synchronizing(A)
+
+    calls = []
+    monkeypatch.setattr(lincheck, "analyze_scc",
+                        lambda A: calls.append(A.n) or analyze_scc(A))
+    ident = list(range(20))
+    for g, truth in (([0] * 20, True), (ident, False)):
+        A = Automaton(20, 2, list(zip(ident, g)))
+        assert not _few_letter_0_cycles(A)
+        calls.clear()
+        assert check_synchronizing(A).synchronizing is truth
+        assert calls == [20]
 
 
 def test_cluster_count_bound():
@@ -294,8 +319,7 @@ def test_stable_seed_accepts_and_rejects(tall_branch_13):
     cs0 = build_cluster_structure(tall_branch_13, 0)
     cs1 = build_cluster_structure(tall_branch_13, 1)
     info = tallest_branch_candidates(cs0, cs1)[0]
-    scc = analyze_scc(tall_branch_13)
-    assert stable_seed(info, scc.in_q0, cs0) == (0, 10)
+    assert stable_seed(info, analyze_scc(tall_branch_13), cs0) == (0, 10)
 
     # same letter-0 graph, but letter 1 collapses into the cycle, so the
     # sink component no longer contains the tall branch
@@ -305,9 +329,9 @@ def test_stable_seed_accepts_and_rejects(tall_branch_13):
     cs1b = build_cluster_structure(B, 1)
     infob = tallest_branch_candidates(cs0b, cs1b)[0]
     assert infob.root == 10
-    sccb = analyze_scc(B)
-    assert sorted(sccb.q0) == [0, 1, 2, 3, 4]
-    assert stable_seed(infob, sccb.in_q0, cs0b) is None
+    in_q0b = analyze_scc(B)
+    assert np.flatnonzero(in_q0b).tolist() == [0, 1, 2, 3, 4]
+    assert stable_seed(infob, in_q0b, cs0b) is None
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +798,7 @@ def test_linear_check_sink_test_sweep(monkeypatch):
                 for closed in (range(k), (0, 1), (1, 2)):
                     autos += [planted_two_blocks(n, k, closed, rng) for _ in range(3)]
             for A in autos:
-                two_sinks = analyze_scc(A).multiple_minimal
+                two_sinks = analyze_scc(A) is None
                 truth = synch_slow(A)
                 for path in LINCHECK_PATHS:
                     _force_path(monkeypatch, path)

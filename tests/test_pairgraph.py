@@ -158,7 +158,7 @@ def test_oracle_paths_agree_on_every_pair(monkeypatch):
     force's where n <= 7)."""
     kinds = set()
     for A, truth in _structured_cases():
-        in_q0 = pairgraph.analyze_scc(A).in_q0
+        in_q0 = pairgraph.analyze_scc(A)
         kinds.add("two sinks" if in_q0 is None
                   else "all states" if all(in_q0) else "proper subset")
         if A.n <= 7:
@@ -318,16 +318,16 @@ def test_memory_estimate_bounds_the_allocations(k):
     estimate is tight on a search handed over to it."""
     n = 1000
     A = generate_uniform(n, k, 5)
-    in_q0 = pairgraph.analyze_scc(A).in_q0
+    in_q0 = pairgraph.analyze_scc(A)
     peak = _oracle_peak(A)
     assert peak <= pairgraph._oracle_bytes(n, k)
     if in_q0 is None:
         # two sink components: no pair graph, only per-state arrays
         assert peak <= 256 * n
     else:
-        assert peak <= pairgraph._oracle_bytes(sum(in_q0), k)
+        assert peak <= pairgraph._oracle_bytes(int(in_q0.sum()), k)
     B = _with_cycle_letter(A, 5)
-    assert all(pairgraph.analyze_scc(B).in_q0)
+    assert pairgraph.analyze_scc(B).all()
     estimate = pairgraph._oracle_bytes(n, k)
     assert _oracle_peak(B) <= estimate
 
