@@ -3,9 +3,11 @@
 Covers four jobs: sizing trial counts from a Hoeffding bound, estimating the
 per-n failure rate of the linear phase, benchmarking the linear phase, and
 locating the size where the full pipeline starts beating the quadratic oracle.
-Timing always runs sequentially on a monotonic clock with two discarded
-warm-up runs per configuration; randomness is reproducible because trial i of
-a job seeds its own generator stream from (master seed, i).
+Every timing goes through ``_seconds``, the one clock loop: it runs
+sequentially on a monotonic clock and leaves out two warm-up runs per
+configuration unless told otherwise.  Every CSV goes through ``_csv``, the
+one writer.  Randomness is reproducible because trial i of a job seeds its
+own generator stream from (master seed, i).
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .automaton import generate_uniform
@@ -44,6 +47,13 @@ REASON_COLUMNS = ("NotSynchronizing",) + tuple(r.value for r in FailReason)
 
 
 def _hoeffding_bound(n: int, epsilon: float, p0: float) -> float:
+    """The unrounded least t that the Hoeffding inequality allows."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not epsilon > 0:
+        raise ValueError(f"need epsilon > 0, got {epsilon}")
+    if not 0 < p0 < 1:
+        raise ValueError(f"need 0 < p0 < 1, got {p0}")
     return -(n / (2.0 * epsilon * epsilon)) * math.log((1.0 - p0) / 2.0)
 
 
@@ -59,12 +69,6 @@ class TrialPlan:
     t: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not self.epsilon > 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon}")
-        if not 0 < self.p0 < 1:
-            raise ValueError(f"need 0 < p0 < 1, got {self.p0}")
         if self.t < _hoeffding_bound(self.n, self.epsilon, self.p0):
             raise ValueError(f"t={self.t} below the Hoeffding minimum")
 
@@ -75,12 +79,6 @@ class TrialPlan:
 
 def required_trials(n: int, epsilon: float, p0: float) -> TrialPlan:
     """Minimal plan satisfying the Hoeffding inequality; t-1 always violates it."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not epsilon > 0:
-        raise ValueError(f"need epsilon > 0, got {epsilon}")
-    if not 0 < p0 < 1:
-        raise ValueError(f"need 0 < p0 < 1, got {p0}")
     return TrialPlan(n, epsilon, p0, math.ceil(_hoeffding_bound(n, epsilon, p0)))
 
 
@@ -141,6 +139,21 @@ def estimate_fn(n: int, plan: TrialPlan, seed: int) -> FnReport:
 # timing
 
 
+def _seconds(run, automata: Iterable, warmup: int = 2) -> float:
+    """Wall time of run(A) summed over automata, leaving out the first
+    warmup runs.  The clock covers the call only: an automaton drawn by a
+    generator is drawn before its own clock starts."""
+    perf = time.perf_counter
+    total = 0.0
+    for i, A in enumerate(automata):
+        t0 = perf()
+        run(A)
+        dt = perf() - t0
+        if i >= warmup:
+            total += dt
+    return total
+
+
 @dataclass(frozen=True)
 class BenchRow:
     n: int
@@ -159,18 +172,11 @@ def bench_linear(ns: Sequence[int], ks: Sequence[int], reps: int, seed: int = 0)
     after 2 discarded warm-up runs.  Generation happens outside the clock."""
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
-    perf = time.perf_counter
     rows = []
     for n in ns:
         for k in ks:
-            total = 0.0
-            for i in range(reps + 2):
-                A = generate_uniform(n, k, (seed, n, k, i))
-                t0 = perf()
-                linear_check(A)
-                dt = perf() - t0
-                if i >= 2:
-                    total += dt
+            autos = (generate_uniform(n, k, (seed, n, k, i)) for i in range(reps + 2))
+            total = _seconds(linear_check, autos)
             rows.append(BenchRow(n=n, k=k, reps=reps, mean_seconds=total / reps))
     return TimingReport(rows=tuple(rows))
 
@@ -202,22 +208,10 @@ def estimate_main_time(
     oracle time weighted by the failure cap."""
     if quad_runs < 1:
         raise ValueError(f"need quad_runs >= 1, got {quad_runs}")
-    perf = time.perf_counter
-    t_lin = 0.0
-    for i in range(n):
-        A = generate_uniform(n, 2, (seed, 0, i))
-        t0 = perf()
-        linear_check(A)
-        t_lin += perf() - t0
-    t_quad_total = 0.0
-    for i in range(quad_runs + 2):
-        A = generate_uniform(n, 2, (seed, 1, i))
-        t0 = perf()
-        synch_slow(A, cap=oracle_cap)
-        dt = perf() - t0
-        if i >= 2:
-            t_quad_total += dt
-    t_quad = t_quad_total / quad_runs
+    lin_autos = (generate_uniform(n, 2, (seed, 0, i)) for i in range(n))
+    t_lin = _seconds(linear_check, lin_autos, warmup=0)
+    quad_autos = (generate_uniform(n, 2, (seed, 1, i)) for i in range(quad_runs + 2))
+    t_quad = _seconds(partial(synch_slow, cap=oracle_cap), quad_autos) / quad_runs
     return MainTimeEstimate(
         n=n,
         fn_cap=fn_cap,
@@ -255,27 +249,14 @@ def crossover_scan(
     run over the identical sequence, each discarding its first 2 runs."""
     if runs_per_n < 1:
         raise ValueError(f"need runs_per_n >= 1, got {runs_per_n}")
-    perf = time.perf_counter
+    main = partial(check_synchronizing, oracle_cap=oracle_cap)
+    quad = partial(synch_slow, cap=oracle_cap)
     rows = []
     n0 = None
     for n in n_values:
         autos = [generate_uniform(n, 2, (seed, n, i)) for i in range(runs_per_n + 2)]
-        t_main = 0.0
-        for i, A in enumerate(autos):
-            t0 = perf()
-            check_synchronizing(A, oracle_cap=oracle_cap)
-            dt = perf() - t0
-            if i >= 2:
-                t_main += dt
-        t_quad = 0.0
-        for i, A in enumerate(autos):
-            t0 = perf()
-            synch_slow(A, cap=oracle_cap)
-            dt = perf() - t0
-            if i >= 2:
-                t_quad += dt
-        mean_main = t_main / runs_per_n
-        mean_quad = t_quad / runs_per_n
+        mean_main = _seconds(main, autos) / runs_per_n
+        mean_quad = _seconds(quad, autos) / runs_per_n
         rows.append(CrossoverRow(n=n, mean_main=mean_main, mean_quadratic=mean_quad))
         if n0 is None and mean_main < mean_quad:
             n0 = n
@@ -290,39 +271,26 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def fn_report_csv(report: FnReport) -> str:
+def _csv(header, rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf)
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def fn_report_csv(report: FnReport) -> str:
     header = ["n", "total_runs", "failures", "estimate", "epsilon", "p0", "seed"]
     header += [f"reason:{c}" for c in REASON_COLUMNS]
-    w.writerow(header)
-    row = [
-        report.n,
-        report.total_runs,
-        report.failures,
-        _fmt(report.estimate),
-        _fmt(report.epsilon),
-        _fmt(report.p0),
-        report.seed,
-    ]
+    row = [report.n, report.total_runs, report.failures, _fmt(report.estimate),
+           _fmt(report.epsilon), _fmt(report.p0), report.seed]
     row += [report.by_reason[c] for c in REASON_COLUMNS]
-    w.writerow(row)
-    return buf.getvalue()
+    return _csv(header, [row])
 
 
 def timing_csv(report: TimingReport) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "k", "reps", "mean_seconds"])
-    for r in report.rows:
-        w.writerow([r.n, r.k, r.reps, _fmt(r.mean_seconds)])
-    return buf.getvalue()
+    rows = ([r.n, r.k, r.reps, _fmt(r.mean_seconds)] for r in report.rows)
+    return _csv(["n", "k", "reps", "mean_seconds"], rows)
 
 
 def crossover_csv(result: CrossoverResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "mean_main", "mean_quadratic"])
-    for r in result.rows:
-        w.writerow([r.n, _fmt(r.mean_main), _fmt(r.mean_quadratic)])
-    return buf.getvalue()
+    rows = ([r.n, _fmt(r.mean_main), _fmt(r.mean_quadratic)] for r in result.rows)
+    return _csv(["n", "mean_main", "mean_quadratic"], rows)

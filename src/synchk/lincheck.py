@@ -189,11 +189,19 @@ def sink_states(A, cs0=None):
     leaves the intersection as it is and stops.  On a random automaton
     that leaves about one full search.  A letter with more than 5 ln n
     cycles fails the cluster-count guard anyway, so there the searches
-    would buy nothing, and Tarjan decides.
+    would buy nothing, and Tarjan decides.  With one letter each cluster's
+    cycle is a sink component of its own, so the sink component is unique
+    exactly when there is one cluster, and it is that cluster's cycle.
     """
     n = A.n
     if cs0 is None:
         cs0 = build_cluster_structure(A, 0)
+    if A.k == 1:
+        if cs0.n_clusters > 1:
+            return None
+        in_q0 = np.zeros(n, dtype=bool)
+        in_q0[cs0.cycles[0]] = True
+        return in_q0
     if not cluster_count_ok(cs0, n):
         return analyze_scc(A)
     order = sorted(range(cs0.n_clusters), key=cs0.sizes.__getitem__, reverse=True)
@@ -760,22 +768,12 @@ def check_two_cycles(A, cs_a: ClusterStructure, b: int,
 
 
 def cycle_closure_flags(cs_a: ClusterStructure, col_b, lhat_a, lhat_b):
-    """Per-cluster flags in one pass: whether the cycle meets lhat_b at all,
-    whether its image under b meets lhat_a, and the same two as full
-    inclusions (the loop case needs both strengths)."""
+    """Per-cluster flags: whether the cycle meets lhat_b, and whether its
+    image under b meets lhat_a.  For a loop, meeting a set is lying in it."""
     lhat_a, lhat_b = _scalars(lhat_a), _scalars(lhat_b)
-    in_b_any = []
-    img_in_a_any = []
-    in_b_all = []
-    img_in_a_all = []
-    for cyc in cs_a.cycles:
-        hits_b = [bool(lhat_b[q]) for q in cyc]
-        hits_a = [bool(lhat_a[col_b[q]]) for q in cyc]
-        in_b_any.append(any(hits_b))
-        img_in_a_any.append(any(hits_a))
-        in_b_all.append(all(hits_b))
-        img_in_a_all.append(all(hits_a))
-    return in_b_any, img_in_a_any, in_b_all, img_in_a_all
+    in_b = [any(lhat_b[q] for q in cyc) for cyc in cs_a.cycles]
+    img_in_a = [any(lhat_a[col_b[q]] for q in cyc) for cyc in cs_a.cycles]
+    return in_b, img_in_a
 
 
 def shift_exists(I, J, d: int) -> bool:
@@ -824,7 +822,7 @@ def check_cycle_pairs(cs_a: ClusterStructure, lhat_b, flags, n: int):
     residue sets of C and C' mod gcd(s, s') must not admit a shift z making
     (z + I) union J everything, else merging can stall on that pair.
     """
-    in_b_any, img_in_a_any, in_b_all, img_in_a_all = flags
+    in_b, img_in_a = flags
     lhat_b = _scalars(lhat_b)
     cycles = cs_a.cycles
     thr = n ** 0.45
@@ -839,8 +837,7 @@ def check_cycle_pairs(cs_a: ClusterStructure, lhat_b, flags, n: int):
             if short >= thr:
                 continue
             if short == 1:
-                if (in_b_any[ci] and in_b_all[cj]) or (
-                        img_in_a_any[ci] and img_in_a_all[cj]):
+                if (in_b[ci] and in_b[cj]) or (img_in_a[ci] and img_in_a[cj]):
                     continue
                 return FailReason.CYCLE_PAIR_NOT_COVERED
             d = math.gcd(len(cycles[ci]), short)

@@ -91,7 +91,7 @@ _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 def _index_dtype(m: int, k: int) -> np.dtype:
     """int32 while every pair id and CSR offset (at most m*k) fits, else int64."""
-    return _INDEX_DTYPES[m * k >= 2**31]
+    return _INDEX_DTYPES[bool(m * k >= 2**31)]
 
 
 def _oracle_bytes(n: int, k: int) -> int:

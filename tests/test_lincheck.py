@@ -262,6 +262,34 @@ def test_sink_test_runs_no_tarjan(monkeypatch):
         assert calls == [20]
 
 
+def test_one_letter_sink_test_counts_clusters(monkeypatch):
+    # with one letter every cluster is a sink component, so neither the
+    # search nor Tarjan runs, even for identity letters far beyond 5 ln n
+    def no_search(*args):
+        raise AssertionError("the one-letter sink test searched")
+    rng = random.Random(1717)
+    outcomes = set()
+    for path in LINCHECK_PATHS:
+        _force_path(monkeypatch, path)
+        monkeypatch.setattr(lincheck, "_reaches", no_search)
+        monkeypatch.setattr(lincheck, "analyze_scc", no_search)
+        for n in range(1, 200):
+            autos = [generate_uniform(n, 1, rng.getrandbits(48)),
+                     Automaton(n, 1, list(range(n))),
+                     Automaton(n, 1, [(q + 1) % n for q in range(n)])]
+            if n >= 2:
+                autos += [planted_two_blocks(n, 1, closed, rng) for closed in ((0,), ())]
+            for A in autos:
+                want = pairgraph.analyze_scc(A)
+                got = sink_states(A)
+                if want is None:
+                    assert got is None, (path, A.delta)
+                else:
+                    assert got.tolist() == want.tolist(), (path, A.delta)
+                outcomes.add(got is None)
+    assert outcomes == {False, True}
+
+
 def test_cluster_count_bound():
     # a single cycle is one cluster: always fine
     n = 40
@@ -552,24 +580,24 @@ def test_cycle_closure_flags():
     lhat_b = bytearray(5)
     lhat_b[0] = lhat_b[1] = 1
     flags = cycle_closure_flags(cs, [2, 3, 4, 0, 1], lhat_a, lhat_b)
-    assert flags == ([True, False], [True, False], [False, False], [False, False])
+    assert flags == ([True, False], [True, False])
 
 
 def test_cycle_pairs_loop_rule():
     cs = build_cluster_structure(Automaton(5, 1, [1, 2, 3, 0, 4]), 0)
     lhat_b = bytearray(5)
 
-    def run(in_b_any, img_any, in_b_all, img_all):
-        return check_cycle_pairs(cs, lhat_b, (in_b_any, img_any, in_b_all, img_all), 5)
+    def run(in_b, img_in_a):
+        return check_cycle_pairs(cs, lhat_b, (in_b, img_in_a), 5)
 
     # cycle meets the mask and the loop state is inside it
-    assert run([True, True], [False, False], [False, True], [False, False]) is None
+    assert run([True, True], [False, False]) is None
     # same through one-step images
-    assert run([False, False], [True, True], [False, False], [False, True]) is None
+    assert run([False, False], [True, True]) is None
     # loop covered but the big cycle untouched (and vice versa): stuck
     bad = FailReason.CYCLE_PAIR_NOT_COVERED
-    assert run([False, True], [False, False], [False, True], [False, False]) is bad
-    assert run([True, False], [False, False], [False, False], [False, False]) is bad
+    assert run([False, True], [False, False]) is bad
+    assert run([True, False], [False, False]) is bad
 
 
 def test_cycle_pairs_shift_test():
@@ -578,7 +606,7 @@ def test_cycle_pairs_shift_test():
     f = [1, 2, 3, 0, 5, 6, 7, 8, 9, 4] + list(range(11, 22)) + [0]
     cs = build_cluster_structure(Automaton(22, 1, f), 0)
     assert cs.cycle_lengths() == [4, 6]
-    dummy = ([False] * 2, [False] * 2, [False] * 2, [False] * 2)
+    dummy = ([False] * 2, [False] * 2)
 
     lhat = bytearray(22)
     for q in (5, 7, 9, 0, 2):
@@ -599,7 +627,7 @@ def test_cycle_pairs_skips_large_short_cycle():
     # at least 6 states, above 22^0.45 ~ 4.02, so nothing is checked
     f = [1, 2, 3, 4, 5, 0] + [7, 8, 9, 10, 11, 6] + [13, 14, 15, 16, 17, 18, 19, 20, 21, 12]
     cs = build_cluster_structure(Automaton(22, 1, f), 0)
-    dummy = ([False] * 3, [False] * 3, [False] * 3, [False] * 3)
+    dummy = ([False] * 3, [False] * 3)
     assert check_cycle_pairs(cs, bytearray(22), dummy, 22) is None
 
 

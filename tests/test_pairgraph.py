@@ -347,6 +347,13 @@ def test_memory_estimate_bounds_small_inputs(k):
         assert _oracle_peak(A) <= estimate
 
 
+def test_memory_estimate_takes_numpy_integers():
+    # a state count summed from a bool array is a NumPy integer; the
+    # int64 case needs m * k >= 2**31
+    for n, k in ((100, 2), (1000, 1), (70000, 1), (40000, 3)):
+        assert pairgraph._oracle_bytes(np.int64(n), k) == pairgraph._oracle_bytes(n, k)
+
+
 def test_default_budget(monkeypatch):
     # the budget admits n = 1000 at k = 2 and never more than 20000 states
     assert pairgraph._oracle_bytes(1000, 2) <= ORACLE_BYTE_BUDGET
