@@ -938,12 +938,10 @@ def _first_failed_guard(A, cs0, in_q0) -> Optional[FailReason]:
     return None
 
 
-def _sink_negative(A) -> Optional[CheckReport]:
-    """The whole-alphabet negative when A has two or more sink components."""
-    if sink_states(A) is not None:
-        return None
+def _two_sinks(k: int) -> CheckReport:
+    """The whole-alphabet negative for two or more sink components."""
     out = CheckOutcome(Verdict.NOT_SYNCHRONIZING)
-    return CheckReport(False, "linear", (PairOutcome(tuple(range(A.k)), out),))
+    return CheckReport(False, "linear", (PairOutcome(tuple(range(k)), out),))
 
 
 def linear_check(A) -> CheckReport:
@@ -954,27 +952,31 @@ def linear_check(A) -> CheckReport:
     ``synchronizing`` is True on the first pipeline proof, False on a
     definitive negative, and None when every pair was inconclusive (the
     caller decides whether to consult the quadratic oracle).  With one letter
-    or n = 2 no pipeline runs, and the whole-alphabet sink test is the only
-    possible answer, a negative.  For k > 2 that test runs only when pair
-    (0, 1) finds two sinks: a restriction with a single sink component
-    leaves the full automaton a single one, and two sinks of the full
-    automaton are two sinks of every restriction.
+    or n = 2 no pipeline runs, and the whole-alphabet sink test decides
+    alone.  One letter is then always decided: its unique sink component is
+    its only cycle, and it merges every pair iff that cycle is one state.
+    With n = 2 and more letters only the negative is.  For k > 2 the test
+    runs only when pair (0, 1) finds two sinks: a restriction with a single
+    sink component leaves the full automaton a single one, and two sinks of
+    the full automaton are two sinks of every restriction.
     """
     n, k = A.n, A.k
     if n == 1:
         return CheckReport(True, "linear", ())
     if n == 2 or k == 1:
-        # the oracle settles n = 2 instantly; only the sink test is worth running
-        return _sink_negative(A) or CheckReport(None, "linear", ())
+        in_q0 = sink_states(A)
+        if in_q0 is None:
+            return _two_sinks(k)
+        # the oracle settles n = 2 instantly
+        return CheckReport(int(in_q0.sum()) == 1 if k == 1 else None, "linear", ())
     outcomes = []
     for a in range(0, k - 1, 2):
         b = a + 1
         B = A if k == 2 else A.restrict_letters(a, b)
         out = binary_linear_check(B)
-        if a == 0 and k > 2 and out.verdict is Verdict.NOT_SYNCHRONIZING:
-            negative = _sink_negative(A)
-            if negative is not None:
-                return negative
+        if (a == 0 and k > 2 and out.verdict is Verdict.NOT_SYNCHRONIZING
+                and sink_states(A) is None):
+            return _two_sinks(k)
         outcomes.append(PairOutcome((a, b), out))
         if out.verdict is Verdict.SYNCHRONIZING:
             # a synchronizing restriction synchronizes the full automaton

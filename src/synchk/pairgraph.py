@@ -3,42 +3,42 @@
 An automaton is synchronizing exactly when every unordered pair of states can
 be mapped to a single state by some word.  That holds for a pair iff it can
 reach a diagonal pair in the graph whose vertices are unordered pairs and
-whose edges follow the letter actions, so one multi-source BFS from the
+whose edges follow the letter actions, so one multi-source search from the
 diagonal over reversed edges answers all pairs at once in O(k n^2).
 
-Pair {p, q} with q <= p lives at triangular index p(p+1)/2 + q.  The reversed
-edges are kept in CSR layout: the predecessors of pair v are
-``rev[offs[v]:offs[v + 1]]``.  Tiny automata build that layout in plain
-Python, where NumPy's per-call overhead would dominate; larger ones build it
-in NumPy from the k pair images.  The BFS expands the frontier level by
-level in NumPy while it is wide, then finishes in a scalar loop: the Cerny
-automaton C_n has about n^2/2 BFS levels of a single pair each, where one
-NumPy step per level would cost more than the scalar loop.
+Pair {p, q} with q <= p lives at triangular index p(p+1)/2 + q.  Below
+SWEEP_MIN_N (64) states the reversed edges are Python lists, one a pair,
+filled in one pass over the pairs and letters, and a scalar loop searches
+them from the diagonal.  At these sizes NumPy's fixed cost per call is a
+large share of the work.
 
-From SWEEP_MIN_N (64) states the search starts bottom-up, as in
-direction-optimizing BFS, on the pair images alone.  Each sweep marks every
-open pair that has an image already reached, and the search ends when a
-sweep adds nothing.  The open pairs' ids and images are compacted once
-half of them are reached.  Uniform random automata and 2-fold covers are
-done in 5 to 9 sweeps, without the reverse edges, whose build took about as
-long as the top-down BFS itself.  A thin search hands over: when a sweep
-reaches under 1/8 of the open pairs and under 1.5 times the previous
-sweep's count while over m/8 pairs are open, the reverse CSR is built from
-the same images, and the top-down BFS carries on from the pairs the last
-sweep reached.  C_n hands over after two sweeps.  The sweeps read at most
-32 k m images in all, past which they hand over too, so the search stays
-O(k n^2).  Below 64 states the search is top-down from the start.
-Sweeping is faster there as well, but acceptance criterion 5 times this
-oracle at n = 50 against the linear pipeline, and it would take most of
-that gate's margin.
+From SWEEP_MIN_N states the search starts bottom-up, as in
+direction-optimizing BFS, on the pair images alone, built in NumPy.  Each
+sweep marks every open pair that has an image already reached, and the
+search ends when a sweep adds nothing.  The open pairs' ids and images are
+compacted once half of them are reached.  Uniform random automata and
+2-fold covers are done in 5 to 9 sweeps, without the reverse edges, whose
+build took about as long as the top-down BFS itself.  A thin search hands
+over: when a sweep reaches under 1/8 of the open pairs and under 1.5 times
+the previous sweep's count while over m/8 pairs are open, the reverse edges
+are built from the same images in CSR layout, the predecessors of pair v
+being ``rev[offs[v]:offs[v + 1]]``, and a top-down BFS carries on from the
+pairs the last sweep reached.  It expands the frontier level by level in
+NumPy while it is wide, then finishes in a scalar loop: the Cerny automaton
+C_n has about n^2/2 BFS levels of a single pair each, where one NumPy step
+per level would cost more than the scalar loop.  C_n hands over after two
+sweeps.  The sweeps read at most 32 k m images in all, past which they hand
+over too, so the search stays O(k n^2).  Sweeping is faster below 64
+states as well, but acceptance criterion 5 times this oracle at n = 50
+against the linear pipeline, and it would take most of that gate's margin.
 
-From NUMPY_MIN_N states ``synch_slow`` searches only the pairs of the sink
+From PREPASS_MIN_N states ``synch_slow`` searches only the pairs of the sink
 component Q0, the strongly connected component with no edge out of it.
 That is exact.  Q0 is closed under every letter, and every state reaches
 it.  So a word moves p into Q0, and a second word moves q in while p stays
 inside.  Pairs of Q0 only ever map to pairs of Q0.  Hence A is
-synchronizing iff Q0 is unique and every pair of Q0 merges, and the BFS on
-the sub-automaton on Q0 is the same search restricted to those pairs.
+synchronizing iff Q0 is unique and every pair of Q0 merges, and the search
+on the sub-automaton on Q0 is the same search restricted to those pairs.
 """
 from __future__ import annotations
 
@@ -62,25 +62,31 @@ __all__ = [
 # input whose estimated peak memory is above this budget.
 ORACLE_BYTE_BUDGET = 2 * 1024**3
 
-# Below this many states the pure-Python CSR builder is faster than NumPy's
-# fixed per-call cost; the two cross near n = 16.
-NUMPY_MIN_N = 16
+# From this many states the oracle runs two passes before its search:
+# _refuse estimates the peak memory, and synch_slow runs Tarjan for the sink
+# component Q0.  Below it the estimate could never refuse, and the
+# acceptance criteria would pay it millions of times; Tarjan costs about as
+# much as the whole search (19.6 against 21.5 us a call at n = 10, k = 2, on
+# a 2-CPU x86-64 machine).
+PREPASS_MIN_N = 16
 
-# The BFS expands frontiers of at least WIDE_MIN pairs level by level in NumPy,
-# then drains the rest of the search in a scalar loop.  NumPy works in
-# chunks of WIDE_CHUNK pairs, here and in the sweeps below, so its
-# temporaries stay small: about (16k + 32) bytes a chunk pair, 1 MB at
-# k = 2, which _oracle_bytes allows for on top of its per-pair count.
+# After a handover the BFS expands frontiers of at least WIDE_MIN pairs
+# level by level in NumPy, then drains the rest of the search in a scalar
+# loop.  NumPy works in chunks of WIDE_CHUNK pairs, here and in the sweeps
+# below, so its temporaries stay small: about (16k + 32) bytes a chunk
+# pair, 1 MB at k = 2, which _oracle_bytes allows for on top of its
+# per-pair count.
 WIDE_MIN = 64
 WIDE_CHUNK = 1 << 14
 
 # From SWEEP_MIN_N states the search starts with bottom-up sweeps (_sweep),
-# below it top-down (the module docstring says why).  A sweep is thin when
-# it reaches fewer than 1/THIN_SHARE of the pairs open before it and fewer
-# than THIN_GROWTH times as many as the sweep before it, while more than
-# m/THIN_SHARE pairs are still open.  A thin sweep hands the search over to
-# the reverse CSR and the top-down BFS, and so does the sweep that takes
-# the sweeps past SWEEP_READS * k * m image reads in all.
+# below it searches predecessor lists (the module docstring says why).  A
+# sweep is thin when it reaches fewer than 1/THIN_SHARE of the pairs open
+# before it and fewer than THIN_GROWTH times as many as the sweep before
+# it, while more than m/THIN_SHARE pairs are still open.  A thin sweep
+# hands the search over to the reverse CSR and the top-down BFS, and so
+# does the sweep that takes the sweeps past SWEEP_READS * k * m image reads
+# in all.
 SWEEP_MIN_N = 64
 THIN_SHARE = 8
 THIN_GROWTH = 1.5
@@ -108,8 +114,10 @@ def _oracle_bytes(n: int, k: int) -> int:
     BFS a fixed (16k + 32) * WIDE_CHUNK bytes.
 
     This bounds an n-state input, and the refusal is decided on it.  From
-    NUMPY_MIN_N states synch_slow builds the pair graph of the sink
+    PREPASS_MIN_N states synch_slow searches the pair graph of the sink
     component Q0 alone, so its actual peak is the estimate for |Q0| states.
+    Below SWEEP_MIN_N states the search holds Python lists in place of
+    these arrays, which peaked at 0.26 of the estimate at 63 states, k = 5.
     """
     m = n * (n + 1) // 2
     w = _index_dtype(m, k).itemsize
@@ -216,40 +224,23 @@ def analyze_scc(A) -> Optional[np.ndarray]:
     return comp == 0
 
 
-def _csr_python(A, m):
-    """Reverse CSR (rev, offs) as Python lists."""
-    n, k = A.n, A.k
+def _pred_lists(A, m):
+    """The predecessor lists of the pair graph, one Python list a pair:
+    ``preds[v]`` holds every off-diagonal pair that some letter maps to v.
+    Diagonal pairs are left out, as the search starts from all of them."""
+    n = A.n
     tri = [p * (p + 1) // 2 for p in range(n)]
-
-    # forward image of every pair under every letter
-    imgs = []
-    for a in range(k):
+    preds = [[] for _ in range(m)]
+    for a in range(A.k):
         col = A.column(a)
-        img = [0] * m
-        u = 0
-        for p in range(n):
+        for p in range(1, n):
             cp = col[p]
             tp = tri[cp]
-            for q in range(p + 1):
-                cq = col[q]
-                img[u] = tp + cq if cp >= cq else tri[cq] + cp
+            u = tri[p]
+            for cq in col[:p]:
+                preds[tp + cq if cp >= cq else tri[cq] + cp].append(u)
                 u += 1
-        imgs.append(img)
-
-    offs = [0] * (m + 1)
-    for img in imgs:
-        for v in img:
-            offs[v + 1] += 1
-    for i in range(m):
-        offs[i + 1] += offs[i]
-    rev = [0] * (m * k)
-    fill = offs[:m]
-    for img in imgs:
-        for u in range(m):
-            v = img[u]
-            rev[fill[v]] = u
-            fill[v] += 1
-    return rev, offs
+    return preds
 
 
 def _images(A, m):
@@ -396,25 +387,17 @@ def _refuse(A, cap):
     n, k = A.n, A.k
     if cap is not None and n > cap:
         raise OracleCapExceeded(n, cap, _oracle_bytes(n, k))
-    # below NUMPY_MIN_N a few hundred pairs are far below the memory budget,
-    # not worth its estimate, which criteria-sized sweeps would pay millions
-    # of times
-    if cap is None and n >= NUMPY_MIN_N and _oracle_bytes(n, k) > ORACLE_BYTE_BUDGET:
+    if cap is None and n >= PREPASS_MIN_N and _oracle_bytes(n, k) > ORACLE_BYTE_BUDGET:
         raise OracleCapExceeded(n, _default_cap(k), _oracle_bytes(n, k))
 
 
-def _pair_reach(A, cap):
-    """Reachability flags over triangular pair indices.
+def _reach(A):
+    """Reachability flags over triangular pair indices, with no size check
+    (_refuse makes it).
 
     Pair {p, q} with q <= p lives at index p(p+1)/2 + q; the returned bytearray
     holds 1 exactly for pairs some word merges.
     """
-    _refuse(A, cap)
-    return _reach(A)
-
-
-def _reach(A):
-    """_pair_reach without the size check."""
     n = A.n
     m = n * (n + 1) // 2
     diagonal = [p * (p + 3) // 2 for p in range(n)]
@@ -422,21 +405,23 @@ def _reach(A):
     for v in diagonal:
         reached[v] = 1
 
-    if n < NUMPY_MIN_N:
-        rev, offs = _csr_python(A, m)
-        _drain(rev, offs, reached, diagonal)
+    if n < SWEEP_MIN_N:
+        preds = _pred_lists(A, m)
+        # last in, first out: only the set of reached pairs matters
+        pop, push = diagonal.pop, diagonal.append
+        while diagonal:
+            for u in preds[pop()]:
+                if not reached[u]:
+                    reached[u] = 1
+                    push(u)
         return reached
 
     flags = np.frombuffer(reached, dtype=np.uint8)
-    if n < SWEEP_MIN_N:
-        imgs, ids = _images(A, m), None
-        frontier = [np.array(diagonal, dtype=imgs.dtype)]
-    else:
-        handover = _sweep(_images(A, m), flags, n)
-        if handover is None:
-            return reached
-        imgs, ids, frontier = handover
-        del handover
+    handover = _sweep(_images(A, m), flags, n)
+    if handover is None:
+        return reached
+    imgs, ids, frontier = handover
+    del handover
     rev, offs = _csr_from_images(imgs, m, ids)
     del imgs, ids
     owner = np.empty(m, dtype=rev.dtype)
@@ -455,13 +440,9 @@ def synch_slow(A, cap: int | None = None, *, _in_q0=None) -> bool:
     when the oracle's estimated peak memory for n states is past
     ORACLE_BYTE_BUDGET.  That is decided on n before any other work.
 
-    From NUMPY_MIN_N states the pair graph is built on the sink component
-    Q0 alone.  Q0 is closed under every letter, and every state reaches it.
-    So a word moves p into Q0, and a second word moves q in while p stays
-    inside.  Pairs of Q0 only ever map to pairs of Q0.  Hence A is
-    synchronizing iff Q0 is unique and every pair of Q0 merges, and the BFS
-    on the sub-automaton is the same search restricted to those pairs.
-    Two or more sink components give False with no pair graph at all.
+    From PREPASS_MIN_N states only the pairs of the sink component Q0 are
+    searched, which is exact (see the module docstring).  Two or more sink
+    components give False with no pair graph at all.
 
     ``_in_q0`` is for lincheck's driver, which has found Q0 already on a
     two-letter automaton, by its reachability search: the bool indicator of
@@ -470,7 +451,7 @@ def synch_slow(A, cap: int | None = None, *, _in_q0=None) -> bool:
     """
     _refuse(A, cap)
     n = A.n
-    if n >= NUMPY_MIN_N:
+    if n >= PREPASS_MIN_N:
         inside = analyze_scc(A) if _in_q0 is None else _in_q0
         if inside is None:
             return False
@@ -488,7 +469,8 @@ def mergeable_pairs(A, cap: int | None = None) -> set:
     Diagonal pairs are included, so A is synchronizing iff the result has
     n(n+1)/2 elements.
     """
-    reached = np.frombuffer(_pair_reach(A, cap), dtype=np.uint8)
+    _refuse(A, cap)
+    reached = np.frombuffer(_reach(A), dtype=np.uint8)
     hi, lo = np.tril_indices(A.n)
     idx = np.flatnonzero(reached)
     return set(zip(lo[idx].tolist(), hi[idx].tolist()))

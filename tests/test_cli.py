@@ -75,7 +75,7 @@ def test_check_stdin(monkeypatch, capsys):
     A = Automaton(3, 1, [0, 0, 0])
     monkeypatch.setattr("sys.stdin", io.StringIO(A.serialize()))
     assert main(["check", "-"]) == 0
-    assert "method=fallback" in capsys.readouterr().out
+    assert "method=linear" in capsys.readouterr().out
 
 
 def test_check_json_schema(passing_file, identity_file, tmp_path, parity4, two_shifts, capsys):

@@ -45,6 +45,7 @@ from helpers import (
     cycle_structured_function,
     planted_two_blocks,
     random_cover,
+    relabel,
     validate_cluster_structure,
 )
 
@@ -778,10 +779,46 @@ def test_linear_check_trivial_sizes():
 
 
 def test_linear_check_one_letter():
-    # a single letter never yields a positive from the pipeline
-    assert linear_check(Automaton(3, 1, [0, 0, 0])).synchronizing is None
+    # a single letter is decided by its clusters alone: one cluster whose
+    # cycle is a fixed point synchronizes
+    rep = linear_check(Automaton(3, 1, [0, 0, 0]))
+    assert rep.synchronizing is True and rep.outcomes == ()
+    assert linear_check(Automaton(3, 1, [1, 2, 0])).synchronizing is False
     rep = linear_check(Automaton(3, 1, [0, 1, 2]))
     assert rep.synchronizing is False  # three separate sink components
+
+
+def _one_letter(n, cycles, rng):
+    """One letter on n states: ``cycles``, a list of cycle lengths, laid
+    out first, the other states hung as trees on random earlier states,
+    then every state renamed at random."""
+    f, start = [], 0
+    for length in cycles:
+        f += [start + (i + 1) % length for i in range(length)]
+        start += length
+    f += [rng.randrange(q) for q in range(start, n)]
+    return relabel(Automaton(n, 1, f), rng.sample(range(n), n))
+
+
+def test_one_letter_never_reaches_the_oracle(monkeypatch):
+    """One letter is decided without the oracle, on both sides of
+    NUMPY_MIN_N: synchronizing iff there is one cluster and its cycle is a
+    fixed point.  Two or more clusters keep their sink-test outcome."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("a one-letter automaton reached the oracle")
+    monkeypatch.setattr(pairgraph, "synch_slow", no_oracle)
+    monkeypatch.setattr(lincheck, "synch_slow", no_oracle)
+    rng = random.Random(31)
+    for n in (2, 3, 20, lincheck.NUMPY_MIN_N + 50):
+        cases = [_one_letter(n, cycles, rng)
+                 for cycles in ([1], [n], [2], [1, 1], [1, 2]) if sum(cycles) <= n]
+        cases += [generate_uniform(n, 1, (31, n, i)) for i in range(10)]
+        for A in cases:
+            rep = check_synchronizing(A)
+            assert rep.method == "linear", A.delta
+            assert rep.synchronizing == brute_force_synchronizing(A), A.delta
+            one_cluster = build_cluster_structure(A, 0).n_clusters == 1
+            assert (rep.outcomes == ()) == one_cluster, A.delta
 
 
 def test_linear_check_pairs_letters():
@@ -863,7 +900,7 @@ def test_check_synchronizing_methods(parity4):
     assert rep.synchronizing is True and rep.method == "fallback"
     assert rep.outcomes  # the linear attempt is preserved in the report
     rep = check_synchronizing(Automaton(3, 1, [0, 0, 0]))
-    assert rep.synchronizing is True and rep.method == "fallback"
+    assert rep.synchronizing is True and rep.method == "linear"
 
 
 def test_check_synchronizing_oracle_cap(parity4):

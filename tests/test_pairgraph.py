@@ -14,20 +14,20 @@ from helpers import (
     all_permutations, brute_force_synchronizing, cerny, enumerate_automata,
     planted_two_blocks, random_cover, relabel)
 
-# Module settings for each way through the oracle: the Python CSR builder;
-# the NumPy one, top-down from the diagonal, with the default BFS switch,
-# with every level expanded in NumPy and with the whole BFS in the scalar
-# queue; then bottom-up sweeps to the end, and one sweep handed over to the
-# reverse CSR.
-TOP_DOWN = {"SWEEP_MIN_N": 10**9}
+# Module settings for each way through the oracle: the predecessor lists;
+# bottom-up sweeps to the end; and one sweep handed over to the reverse CSR,
+# with the default BFS switch, with every level expanded in NumPy and with
+# the whole BFS in the scalar loop.
+HANDOVER = {"PREPASS_MIN_N": 0, "SWEEP_MIN_N": 0, "SWEEP_READS": 0}
 ORACLE_PATHS = {
-    "python": {"NUMPY_MIN_N": 10**9},
-    "numpy": {"NUMPY_MIN_N": 0, **TOP_DOWN},
-    "numpy-wide": {"NUMPY_MIN_N": 0, "WIDE_MIN": 1, **TOP_DOWN},
-    "numpy-narrow": {"NUMPY_MIN_N": 0, "WIDE_MIN": 10**9, **TOP_DOWN},
-    "sweep": {"NUMPY_MIN_N": 0, "SWEEP_MIN_N": 0, "THIN_SHARE": 1, "SWEEP_READS": 10**9},
-    "sweep-handover": {"NUMPY_MIN_N": 0, "SWEEP_MIN_N": 0, "SWEEP_READS": 0},
+    "python": {"SWEEP_MIN_N": 10**9},
+    "sweep": {"PREPASS_MIN_N": 0, "SWEEP_MIN_N": 0, "THIN_SHARE": 1, "SWEEP_READS": 10**9},
+    "sweep-handover": HANDOVER,
+    "handover-wide": {**HANDOVER, "WIDE_MIN": 1},
+    "handover-narrow": {**HANDOVER, "WIDE_MIN": 10**9},
 }
+# the paths that run NumPy, each run again with int64 indices
+NUMPY_PATHS = [name for name in ORACLE_PATHS if name != "python"]
 
 
 _DEFAULTS = {attr: getattr(pairgraph, attr) for path in ORACLE_PATHS.values() for attr in path}
@@ -125,7 +125,7 @@ def _with_tail(A, tail, rng):
 
 
 def _structured_cases():
-    """(automaton, known verdict or None) on both sides of NUMPY_MIN_N,
+    """(automaton, known verdict or None) on both sides of PREPASS_MIN_N,
     with sink components of every kind: all states, a proper subset, and
     two or more."""
     rng = random.Random(2024)
@@ -151,11 +151,11 @@ def _structured_cases():
 
 
 def test_oracle_paths_agree_on_every_pair(monkeypatch):
-    """Both CSR builders, every BFS mode, the sweeps with and without a
-    handover, and both index widths give the same reached array.  On every
-    path the verdict, which from NUMPY_MIN_N states comes from the sink
-    component alone, is the full pair graph's and the known one (brute
-    force's where n <= 7)."""
+    """The predecessor lists, the sweeps with and without a handover, every
+    BFS mode after it, and both index widths give the same reached array.
+    On every path the verdict, which from PREPASS_MIN_N states comes from
+    the sink component alone, is the full pair graph's and the known one
+    (brute force's where n <= 7)."""
     kinds = set()
     for A, truth in _structured_cases():
         in_q0 = pairgraph.analyze_scc(A)
@@ -169,17 +169,17 @@ def test_oracle_paths_agree_on_every_pair(monkeypatch):
         reached = {}
         for name in ORACLE_PATHS:
             _force_path(monkeypatch, name)
-            reached[name] = bytes(pairgraph._pair_reach(A, None))
+            reached[name] = bytes(pairgraph._reach(A))
             verdict = synch_slow(A)
             assert verdict == (len(mergeable_pairs(A)) == full), (name, A.delta)
             if truth is not None:
                 assert verdict == truth, (name, A.delta)
         monkeypatch.setattr(pairgraph, "_index_dtype", lambda m, k: np.dtype(np.int64))
-        for name in ("numpy", "numpy-wide", "sweep", "sweep-handover"):
+        for name in NUMPY_PATHS:
             _force_path(monkeypatch, name)
-            reached[name + "-int64"] = bytes(pairgraph._pair_reach(A, None))
+            reached[name + "-int64"] = bytes(pairgraph._reach(A))
         monkeypatch.undo()
-        reached["default"] = bytes(pairgraph._pair_reach(A, None))
+        reached["default"] = bytes(pairgraph._reach(A))
         assert len(set(reached.values())) == 1, (A.n, A.k, A.delta)
         # mergeable_pairs lists exactly the reached triangular indices
         flags = reached["python"]
@@ -191,10 +191,12 @@ def test_oracle_paths_agree_on_every_pair(monkeypatch):
 def test_two_sinks_build_no_pair_graph(monkeypatch):
     def no_pair_graph(A, m):
         raise AssertionError("the oracle built a pair graph for two sinks")
+    monkeypatch.setattr(pairgraph, "_pred_lists", no_pair_graph)
     monkeypatch.setattr(pairgraph, "_images", no_pair_graph)
     rng = random.Random(7)
-    for k in (1, 2, 3):
-        assert not synch_slow(planted_two_blocks(pairgraph.NUMPY_MIN_N + 10, k, range(k), rng))
+    for n in (pairgraph.PREPASS_MIN_N + 10, pairgraph.SWEEP_MIN_N + 10):
+        for k in (1, 2, 3):
+            assert not synch_slow(planted_two_blocks(n, k, range(k), rng))
 
 
 def test_covers_decide_by_sweeping_alone(monkeypatch):
@@ -254,10 +256,10 @@ def test_slow_growth_matches_fixpoint(monkeypatch):
     cases = list(_slow_growth_cases(random.Random(11)))
     for A in cases:
         want = _fixpoint(A)
-        assert bytes(pairgraph._pair_reach(A, None)) == want, A.delta
+        assert bytes(pairgraph._reach(A)) == want, A.delta
         for name in ORACLE_PATHS:
             _force_path(monkeypatch, name)
-            assert bytes(pairgraph._pair_reach(A, None)) == want, (name, A.delta)
+            assert bytes(pairgraph._reach(A)) == want, (name, A.delta)
         for attr, value in _DEFAULTS.items():
             monkeypatch.setattr(pairgraph, attr, value)
     handovers.clear()
@@ -306,10 +308,6 @@ def _path(n):
     return Automaton(n, 1, [min(q + 1, n - 1) for q in range(n)])
 
 
-def _full_search(A):
-    return pairgraph._pair_reach(A, None)
-
-
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_memory_estimate_bounds_the_allocations(k):
     """The estimate for n states bounds the oracle; the pair graph it
@@ -331,9 +329,9 @@ def test_memory_estimate_bounds_the_allocations(k):
     estimate = pairgraph._oracle_bytes(n, k)
     assert _oracle_peak(B) <= estimate
 
-    # at k = 1, a path letter through _pair_reach: synch_slow would search
-    # its sink component, one state
-    thin, search = (_path(n), _full_search) if k == 1 else (_cerny_letters(n, k), synch_slow)
+    # at k = 1, a path letter through _reach: synch_slow would search its
+    # sink component, one state
+    thin, search = (_path(n), pairgraph._reach) if k == 1 else (_cerny_letters(n, k), synch_slow)
     assert 0.9 * estimate <= _oracle_peak(thin, search) <= estimate
 
 
