@@ -3,10 +3,12 @@
 States and letters are dense 0-based integers.  The transition table has two
 forms, each built from the other on first use and then kept: a flat tuple,
 so that pure-Python loops can index ``delta[q * k + a]`` and take
-single-letter actions as cheap slices, and a read-only (n, k) int32 array
-for the NumPy code.  Generation, the text parser's fast path and letter
-restriction fill the array form only, so a large automaton that never meets
-a Python loop never builds its tuple.
+single-letter actions as cheap slices, and a read-only, C-contiguous (n, k)
+int32 array for the NumPy code.  The array has that one layout whatever
+made it, so a row gather or a flat view of it never copies the whole table
+first.  Generation, the text parser's fast path and letter restriction fill
+the array form only, so a large automaton that never meets a Python loop
+never builds its tuple.
 """
 from __future__ import annotations
 
@@ -60,13 +62,14 @@ class Automaton:
     def _raw(cls, n: int, k: int, flat: tuple | None = None,
              table: np.ndarray | None = None) -> "Automaton":
         # internal fast path for tables that are valid by construction; a
-        # table must be an (n, k) array nobody else writes to
+        # table must be an (n, k) array nobody else writes to, and is stored
+        # as a C-contiguous int32 array, copied only when it is not one
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_delta", flat)
         if table is not None:
-            table = table.astype(np.int32, copy=False)
+            table = np.ascontiguousarray(table, dtype=np.int32)
             table.flags.writeable = False
         object.__setattr__(self, "_table", table)
         return self
@@ -80,7 +83,11 @@ class Automaton:
 
     @property
     def table(self) -> np.ndarray:
-        """The transition table as a read-only (n, k) int32 array."""
+        """The transition table as a read-only (n, k) int32 array.
+
+        It is always C-contiguous: row q holds q's k successors side by
+        side, and ``table.reshape(-1)`` is a view equal to ``delta``.
+        """
         if self._table is None:
             table = np.array(self._delta, dtype=np.int32).reshape(self.n, self.k)
             table.flags.writeable = False
@@ -141,7 +148,8 @@ class Automaton:
         if a == b:
             raise ValueError("restriction letters must be distinct")
         if self._table is not None:
-            return Automaton._raw(self.n, 2, table=self._table[:, [a, b]])
+            table = self._table
+            return Automaton._raw(self.n, 2, table=np.stack((table[:, a], table[:, b]), axis=1))
         d = self._delta
         flat = tuple(chain.from_iterable(zip(d[a::k], d[b::k])))
         return Automaton._raw(self.n, 2, flat)

@@ -371,18 +371,18 @@ def _clusters_numpy(f: np.ndarray, letter: int) -> ClusterStructure:
     on_cycle = np.zeros(n, dtype=np.bool_)
     on_cycle[image] = True
 
-    # cycle states and height-1 states stay put; doubling the map until it
-    # is idempotent carries every tree state to its branch root, counting
-    # the steps on the way
+    # cycle states and height-1 states stay put; doubling the map carries
+    # every tree state to its branch root, counting the steps on the way.
+    # After i rounds a state has moved min(height - 1, 2^i) steps, so once
+    # no state has moved 2^i, every one has arrived
     stay = on_cycle.take(f)
     branch_root = np.where(stay, states, f)
     steps = (~stay).astype(np.int32)
-    while True:
-        nxt = branch_root.take(branch_root)
-        if (nxt == branch_root).all():
-            break
+    reach = 1
+    while steps.max() >= reach:
         steps += steps.take(branch_root)
-        branch_root = nxt
+        branch_root = branch_root.take(branch_root)
+        reach *= 2
     height = np.where(on_cycle, 0, steps + 1)
     root = np.where(on_cycle, states, f.take(branch_root))
     branch_root[on_cycle] = -1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from synchk import automaton
+from synchk import automaton, pairgraph
 from synchk.automaton import Automaton, FormatError, generate_uniform, parse
 
 
@@ -219,3 +219,31 @@ def test_table_and_delta_agree():
         R = B.restrict_letters(1, 0)
         assert R.table.tolist() == [list(row) for row in zip(B.column(1), B.column(0))]
         assert R.delta == tuple(x for row in zip(B.column(1), B.column(0)) for x in row)
+
+
+def _assert_layout(A):
+    T = A.table
+    assert T.shape == (A.n, A.k) and T.dtype == np.int32
+    assert T.flags.c_contiguous and not T.flags.writeable
+    assert T.reshape(-1).tolist() == list(A.delta)
+
+
+def test_every_table_is_c_contiguous_int32(monkeypatch):
+    # one layout however the table is made, so that a row gather or a flat
+    # view of it never copies the whole table first
+    G = generate_uniform(300, 4, 6)
+    tuple_backed = Automaton(G.n, G.k, G.delta)
+    assert G._table is not None and tuple_backed._table is None
+    text = G.serialize()
+    assert automaton._parse_plain(text) is not None
+    for A in (Automaton(3, 2, [(1, 2), (0, 0), (2, 1)]), tuple_backed, parse(text), G,
+              G.restrict_letters(3, 1), tuple_backed.restrict_letters(3, 1)):
+        _assert_layout(A)
+    # the sub-automaton on the sink component that the oracle searches
+    searched = []
+    real_reach = pairgraph._reach
+    monkeypatch.setattr(pairgraph, "_reach", lambda A: searched.append(A) or real_reach(A))
+    pairgraph.synch_slow(G.restrict_letters(0, 2))
+    (Q0,) = searched
+    assert Q0.n < G.n
+    _assert_layout(Q0)

@@ -161,24 +161,42 @@ def test_cluster_structure_invariants(data):
 
 
 def _maps(rng):
-    """(name, map) pairs: uniform maps, maps built cluster by cluster, paths
-    into a loop or a short cycle, and the two letters of C_n, with the
-    states relabelled at random half of the time."""
+    """(name, map) pairs from _plain_maps, with the states relabelled at
+    random half of the time."""
+    for name, f in _plain_maps(rng):
+        if rng.random() < 0.5:
+            n = len(f)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = [0] * n
+            for q in range(n):
+                g[perm[q]] = perm[f[q]]
+            f = g
+        yield name, f
+
+
+def _path(n, cycle):
+    """0 -> 1 -> ... -> n-1, closed by n-1 -> n-cycle: one branch, of
+    height n - cycle."""
+    return [q + 1 if q + 1 < n else n - cycle for q in range(n)]
+
+
+def _plain_maps(rng):
+    """Uniform maps, maps built cluster by cluster, paths into a loop or a
+    short cycle, and the two letters of C_n.  Then paths whose branch has
+    height - 1 = 2^j - 1, 2^j and 2^j + 1, for j = 3..8: the NumPy
+    builder's pointer doubling stops on the round that first moves no
+    state 2^i steps, so these sit on either side of that test."""
     for n in list(range(1, 40)) + [rng.randint(40, 400) for _ in range(30)]:
-        tail = rng.randint(1, n)
-        path = [q + 1 if q + 1 < n else n - tail for q in range(n)]
+        path = _path(n, rng.randint(1, n))
         C = cerny(n)
-        for name, f in (("uniform", random_function(rng, n)),
-                        ("structured", cycle_structured_function(rng, n)),
-                        ("path", path), ("cerny-0", C.column(0)), ("cerny-1", C.column(1))):
-            if rng.random() < 0.5:
-                perm = list(range(n))
-                rng.shuffle(perm)
-                g = [0] * n
-                for q in range(n):
-                    g[perm[q]] = perm[f[q]]
-                f = g
-            yield name, f
+        yield from (("uniform", random_function(rng, n)),
+                    ("structured", cycle_structured_function(rng, n)),
+                    ("path", path), ("cerny-0", C.column(0)), ("cerny-1", C.column(1)))
+    for j in range(3, 9):
+        for below in (2**j - 1, 2**j, 2**j + 1):
+            cycle = rng.randint(1, 5)
+            yield "doubling-edge", _path(below + 1 + cycle, cycle)
 
 
 def test_cluster_builders_agree(monkeypatch):
@@ -196,7 +214,7 @@ def test_cluster_builders_agree(monkeypatch):
         assert got["python"] == got["numpy"], (name, f)
         validate_cluster_structure(build_cluster_structure(A, 0), f, n)
         seen.add(name)
-    assert seen == {"uniform", "structured", "path", "cerny-0", "cerny-1"}
+    assert seen == {"uniform", "structured", "path", "cerny-0", "cerny-1", "doubling-edge"}
 
 
 def test_sink_test_matches_tarjan(monkeypatch):
@@ -952,3 +970,49 @@ def test_check_synchronizing_matches_brute_force():
         k = rng.randint(1, 3)
         A = generate_uniform(n, k, rng.getrandbits(48))
         assert check_synchronizing(A).synchronizing == brute_force_synchronizing(A)
+
+
+# linear_check on uniform automata over 3 and 4 letters from NUMPY_MIN_N
+# states: per letter pair, the verdict, the fail reason and the size of the
+# sink component a linear fail hands on, as the pipeline gave them when a
+# letter restriction was stored column by column
+_WIDE_REPORTS = {
+    (200, 3, 0): (True, (((0, 1), "synchronizing", None, None),)),
+    (200, 3, 104): (None, (((0, 1), "linear-fail", "TwoCycleFail", 141),)),
+    (200, 3, 111): (None, (((0, 1), "linear-fail", "TallestBranchOutsideQ0", 1),)),
+    (200, 4, 41): (True, (((0, 1), "linear-fail", "TallestBranchOutsideQ0", 154),
+                          ((2, 3), "synchronizing", None, None))),
+    (200, 3, 275): (None, (((0, 1), "linear-fail", "ShiftExists", 164),)),
+    (200, 4, 98): (True, (((0, 1), "linear-fail", "CyclePairNotCovered", 151),
+                          ((2, 3), "synchronizing", None, None))),
+    (200, 3, 240): (None, (((0, 1), "linear-fail", "NoUniqueTallestBranch", 162),)),
+    (200, 4, 238): (True, (((0, 1), "linear-fail", "TwoCycleFail", 144),
+                           ((2, 3), "synchronizing", None, None))),
+    (200, 4, 45): (True, (((0, 1), "linear-fail", "NoUniqueTallestBranch", 153),
+                          ((2, 3), "synchronizing", None, None))),
+    (257, 3, 18): (None, (((0, 1), "not-synchronizing", None, None),)),
+    (257, 3, 121): (None, (((0, 1), "linear-fail", "TooFewStablePairs", 214),)),
+    (257, 4, 7): (True, (((0, 1), "linear-fail", "ShiftExists", 201),
+                         ((2, 3), "synchronizing", None, None))),
+    (5000, 3, 1): (True, (((0, 1), "synchronizing", None, None),)),
+    (5000, 4, 2): (True, (((0, 1), "synchronizing", None, None),)),
+    (20000, 4, 3): (True, (((0, 1), "synchronizing", None, None),)),
+}
+
+
+def _report_summary(report):
+    return (report.synchronizing, tuple(
+        (po.letters, po.outcome.verdict.value,
+         po.outcome.fail_reason and po.outcome.fail_reason.value,
+         None if po.outcome.in_q0 is None else int(po.outcome.in_q0.sum()))
+        for po in report.outcomes))
+
+
+def test_wide_alphabet_reports_are_pinned():
+    # the restrictions of a table-backed and of a tuple-backed automaton
+    # give the same reports, and the same as before
+    assert min(n for n, _, _ in _WIDE_REPORTS) >= lincheck.NUMPY_MIN_N
+    for (n, k, s), expected in _WIDE_REPORTS.items():
+        A = generate_uniform(n, k, (n, k, s))
+        assert _report_summary(linear_check(A)) == expected, (n, k, s)
+        assert linear_check(Automaton(n, k, A.delta)) == linear_check(A)
