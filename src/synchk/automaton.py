@@ -51,7 +51,8 @@ class Automaton:
             if len(flat) != n * k:
                 raise ValueError(f"expected {n * k} flat entries, got {len(flat)}")
         for v in flat:
-            if not isinstance(v, int) or not 0 <= v < n:
+            # bool is an int subclass, but True is no state
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise ValueError(f"transition target {v!r} out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
@@ -59,18 +60,16 @@ class Automaton:
         object.__setattr__(self, "_table", None)
 
     @classmethod
-    def _raw(cls, n: int, k: int, flat: tuple | None = None,
-             table: np.ndarray | None = None) -> "Automaton":
+    def _raw(cls, n: int, k: int, table: np.ndarray) -> "Automaton":
         # internal fast path for tables that are valid by construction; a
         # table must be an (n, k) array nobody else writes to, and is stored
         # as a C-contiguous int32 array, copied only when it is not one
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_delta", flat)
-        if table is not None:
-            table = np.ascontiguousarray(table, dtype=np.int32)
-            table.flags.writeable = False
+        object.__setattr__(self, "_delta", None)
+        table = np.ascontiguousarray(table, dtype=np.int32)
+        table.flags.writeable = False
         object.__setattr__(self, "_table", table)
         return self
 
@@ -147,12 +146,8 @@ class Automaton:
             raise ValueError(f"letters ({a}, {b}) out of range")
         if a == b:
             raise ValueError("restriction letters must be distinct")
-        if self._table is not None:
-            table = self._table
-            return Automaton._raw(self.n, 2, table=np.stack((table[:, a], table[:, b]), axis=1))
-        d = self._delta
-        flat = tuple(chain.from_iterable(zip(d[a::k], d[b::k])))
-        return Automaton._raw(self.n, 2, flat)
+        table = self.table
+        return Automaton._raw(self.n, 2, table=np.stack((table[:, a], table[:, b]), axis=1))
 
     def serialize(self) -> str:
         """Canonical text form: header line 'n k', then one row per state."""
@@ -270,7 +265,7 @@ def _parse_json(text: str) -> Automaton:
     if not isinstance(obj, dict) or set(obj) != {"n", "k", "delta"}:
         raise FormatError("JSON object must have exactly the keys n, k, delta")
     n, k, delta = obj["n"], obj["k"], obj["delta"]
-    if not isinstance(n, int) or not isinstance(k, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, k)):
         raise FormatError("n and k must be integers")
     if not isinstance(delta, list) or not all(isinstance(r, list) for r in delta):
         raise FormatError("delta must be a list of rows")

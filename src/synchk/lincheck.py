@@ -295,9 +295,6 @@ class ClusterStructure:
     def n_clusters(self) -> int:
         return len(self.cycles)
 
-    def cycle_lengths(self) -> list:
-        return [len(c) for c in self.cycles]
-
 
 def build_cluster_structure(A, letter: int) -> ClusterStructure:
     """Decompose one letter's functional graph in O(n) (O(n log n) array
@@ -470,10 +467,6 @@ class TallestBranchInfo:
     cycle_pred: int
     height: int
     second_height: int
-    branch_root: list = field(repr=False)
-
-    def in_branch(self, q: int) -> bool:
-        return self.branch_root[q] == self.root
 
 
 def _branch_summary(cs: ClusterStructure):
@@ -538,7 +531,6 @@ def tallest_branch_candidates(cs0: ClusterStructure, cs1: ClusterStructure):
                 cycle_pred=p,
                 height=hgt,
                 second_height=second,
-                branch_root=cs.branch_root,
             ))
     return out
 

@@ -22,11 +22,12 @@ build took about as long as the top-down BFS itself.  A thin search hands
 over: when a sweep reaches under 1/8 of the open pairs and under 1.5 times
 the previous sweep's count while over m/8 pairs are open, the reverse edges
 are built from the same images in CSR layout, the predecessors of pair v
-being ``rev[offs[v]:offs[v + 1]]``, and a top-down BFS carries on from the
-pairs the last sweep reached.  It expands the frontier level by level in
-NumPy while it is wide, then finishes in a scalar loop: the Cerny automaton
-C_n has about n^2/2 BFS levels of a single pair each, where one NumPy step
-per level would cost more than the scalar loop.  C_n hands over after two
+being ``rev[offs[v]:offs[v + 1]]``, and a scalar loop searches them to the
+end from the pairs the last sweep reached.  A handover means a thin
+search: the Cerny automaton C_n has about n^2/2 BFS levels of a single
+pair each, where one NumPy step per level would cost more than the scalar
+loop, and on the wider frontiers that do hand over a level-by-level NumPy
+BFS was no faster than the scalar loop.  C_n hands over after two
 sweeps.  The sweeps read at most 32 k m images in all, past which they hand
 over too, so the search stays O(k n^2).  Sweeping is faster below 64
 states as well, but acceptance criterion 5 times this oracle at n = 50
@@ -70,13 +71,9 @@ ORACLE_BYTE_BUDGET = 2 * 1024**3
 # a 2-CPU x86-64 machine).
 PREPASS_MIN_N = 16
 
-# After a handover the BFS expands frontiers of at least WIDE_MIN pairs
-# level by level in NumPy, then drains the rest of the search in a scalar
-# loop.  NumPy works in chunks of WIDE_CHUNK pairs, here and in the sweeps
-# below, so its temporaries stay small: about (16k + 32) bytes a chunk
-# pair, 1 MB at k = 2, which _oracle_bytes allows for on top of its
-# per-pair count.
-WIDE_MIN = 64
+# The sweeps below work in chunks of WIDE_CHUNK pairs, so their
+# temporaries stay small.  _oracle_bytes allows (16k + 32) bytes a chunk
+# pair for them, 1 MB at k = 2, on top of its per-pair count.
 WIDE_CHUNK = 1 << 14
 
 # From SWEEP_MIN_N states the search starts with bottom-up sweeps (_sweep),
@@ -84,7 +81,7 @@ WIDE_CHUNK = 1 << 14
 # sweep is thin when it reaches fewer than 1/THIN_SHARE of the pairs open
 # before it and fewer than THIN_GROWTH times as many as the sweep before
 # it, while more than m/THIN_SHARE pairs are still open.  A thin sweep
-# hands the search over to the reverse CSR and the top-down BFS, and so
+# hands the search over to the scalar search of the reverse CSR, and so
 # does the sweep that takes the sweeps past SWEEP_READS * k * m image reads
 # in all.
 SWEEP_MIN_N = 64
@@ -110,8 +107,10 @@ def _oracle_bytes(n: int, k: int) -> int:
     which is what the peak RSS grows by between n = 1000 and n = 3000 on
     uniform automata.  The sweeps hold fewer bytes a pair, and they free
     theirs before a handover builds the CSR.  Per-state arrays add less than
-    256 bytes a state, and the chunk temporaries of the sweeps and of the
-    BFS a fixed (16k + 32) * WIDE_CHUNK bytes.
+    256 bytes a state, and the chunk temporaries a fixed
+    (16k + 32) * WIDE_CHUNK bytes.  Only the sweeps make chunk temporaries,
+    as the search after a handover is a scalar loop; the term is an upper
+    bound for them, kept so that the default caps stay put.
 
     This bounds an n-state input, and the refusal is decided on it.  From
     PREPASS_MIN_N states synch_slow searches the pair graph of the sink
@@ -342,33 +341,6 @@ def _sweep(imgs, flags, n):
         prev = got
 
 
-def _expand(rev, offs, reached, owner, frontier):
-    """One BFS level in NumPy: the unreached predecessors of the frontier.
-
-    The frontier is a list of arrays of reached pairs, and so is the result,
-    which holds each new pair once.  Work goes in chunks of WIDE_CHUNK pairs,
-    so the temporaries stay small next to the pair graph.
-    """
-    out = []
-    for part in frontier:
-        for s in range(0, len(part), WIDE_CHUNK):
-            chunk = part[s:s + WIDE_CHUNK]
-            starts = offs[chunk]
-            counts = offs[chunk + 1] - starts
-            ends = np.cumsum(counts)
-            idx = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-            cand = rev[idx]
-            cand = cand[reached[cand] == 0]
-            # the last writer owns each pair, which keeps one copy of each
-            pos = np.arange(len(cand), dtype=owner.dtype)
-            owner[cand] = pos
-            cand = cand[owner[cand] == pos]
-            reached[cand] = 1
-            if len(cand):
-                out.append(cand)
-    return out
-
-
 def _drain(rev, offs, reached, pending):
     """Scalar search to the end from a list of reached pairs whose
     predecessors are not yet visited (last in, first out: only the set of
@@ -424,12 +396,7 @@ def _reach(A):
     del handover
     rev, offs = _csr_from_images(imgs, m, ids)
     del imgs, ids
-    owner = np.empty(m, dtype=rev.dtype)
-    while sum(map(len, frontier)) >= WIDE_MIN:
-        frontier = _expand(rev, offs, flags, owner, frontier)
-    if frontier:
-        pending = np.concatenate(frontier).tolist()
-        _drain(memoryview(rev), memoryview(offs), reached, pending)
+    _drain(memoryview(rev), memoryview(offs), reached, np.concatenate(frontier).tolist())
     return reached
 
 

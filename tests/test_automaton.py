@@ -117,6 +117,19 @@ def test_parse_rejects_malformed(text):
         parse(text)
 
 
+def test_json_booleans_are_not_numbers():
+    # bool is an int subclass in Python, but JSON true and false are no
+    # states and no sizes
+    with pytest.raises(FormatError, match="transition target True"):
+        parse('{"n": 2, "k": 1, "delta": [[true], [0]]}')
+    with pytest.raises(FormatError, match="n and k must be integers"):
+        parse('{"n": true, "k": true, "delta": [[false]]}')
+    with pytest.raises(FormatError, match="n and k must be integers"):
+        parse('{"n": 1, "k": true, "delta": [[0]]}')
+    with pytest.raises(ValueError):
+        Automaton(2, 1, [False, True])
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_generated_serialize_parse_identity(n, k, seed):

@@ -135,7 +135,7 @@ def test_cluster_structure_fixture(tall_branch_13):
     cs = build_cluster_structure(tall_branch_13, 0)
     assert cs.n_clusters == 1
     assert cs.cycles == [[0, 1, 2, 3, 4]]
-    assert cs.cycle_lengths() == [5]
+    assert [len(c) for c in cs.cycles] == [5]
     assert cs.sizes == [13]
     assert sorted(cs.height) == [0] * 5 + [1] * 4 + [2] * 3 + [3]
     assert cs.branch_root == [-1, -1, -1, -1, -1, 5, 5, 5, 8, 9, 10, 10, 10]
@@ -337,8 +337,8 @@ def test_tallest_branch_fixture(tall_branch_13, monkeypatch):
         assert info.second_height == 2
         assert info.cycle_pred == 0  # 0 and 10 both step to 1 under letter 0
         assert tall_branch_13.target(info.cycle_pred, 0) == tall_branch_13.target(info.root, 0)
-        assert info.in_branch(12) and info.in_branch(10)
-        assert not info.in_branch(6)
+        assert cs0.branch_root[12] == cs0.branch_root[10] == info.root
+        assert cs0.branch_root[6] != info.root
 
 
 def test_tallest_branch_tie_rejected(monkeypatch):
@@ -504,7 +504,7 @@ def test_cluster_graph_residuals_must_generate(four_cycles_graph):
     # labels are all 0 along cycle-to-cycle pairs, so a non-tree pair into
     # height h has residual -h mod 4
     cs = four_cycles_graph
-    assert cs.cycle_lengths() == [4, 4]
+    assert [len(c) for c in cs.cycles] == [4, 4]
     assert (cs.height[8], cs.height[9]) == (1, 2)
 
     def run(pairs):
@@ -624,7 +624,7 @@ def test_cycle_pairs_shift_test():
     # cluster to size 16 so both clusters stay large at n = 22
     f = [1, 2, 3, 0, 5, 6, 7, 8, 9, 4] + list(range(11, 22)) + [0]
     cs = build_cluster_structure(Automaton(22, 1, f), 0)
-    assert cs.cycle_lengths() == [4, 6]
+    assert [len(c) for c in cs.cycles] == [4, 6]
     dummy = ([False] * 2, [False] * 2)
 
     lhat = bytearray(22)

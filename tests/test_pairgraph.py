@@ -15,16 +15,12 @@ from helpers import (
     planted_two_blocks, random_cover, relabel)
 
 # Module settings for each way through the oracle: the predecessor lists;
-# bottom-up sweeps to the end; and one sweep handed over to the reverse CSR,
-# with the default BFS switch, with every level expanded in NumPy and with
-# the whole BFS in the scalar loop.
-HANDOVER = {"PREPASS_MIN_N": 0, "SWEEP_MIN_N": 0, "SWEEP_READS": 0}
+# bottom-up sweeps to the end; and one sweep handed over to the scalar
+# search of the reverse CSR.
 ORACLE_PATHS = {
     "python": {"SWEEP_MIN_N": 10**9},
     "sweep": {"PREPASS_MIN_N": 0, "SWEEP_MIN_N": 0, "THIN_SHARE": 1, "SWEEP_READS": 10**9},
-    "sweep-handover": HANDOVER,
-    "handover-wide": {**HANDOVER, "WIDE_MIN": 1},
-    "handover-narrow": {**HANDOVER, "WIDE_MIN": 10**9},
+    "sweep-handover": {"PREPASS_MIN_N": 0, "SWEEP_MIN_N": 0, "SWEEP_READS": 0},
 }
 # the paths that run NumPy, each run again with int64 indices
 NUMPY_PATHS = [name for name in ORACLE_PATHS if name != "python"]
@@ -151,8 +147,8 @@ def _structured_cases():
 
 
 def test_oracle_paths_agree_on_every_pair(monkeypatch):
-    """The predecessor lists, the sweeps with and without a handover, every
-    BFS mode after it, and both index widths give the same reached array.
+    """The predecessor lists, the sweeps with and without a handover, and
+    both index widths give the same reached array.
     On every path the verdict, which from PREPASS_MIN_N states comes from
     the sink component alone, is the full pair graph's and the known one
     (brute force's where n <= 7)."""
@@ -244,15 +240,23 @@ def _slow_growth_cases(rng):
         merge[rng.randrange(n)] = rng.randrange(n)
         yield Automaton(n, 2, list(zip(perm, merge)))
         yield Automaton(n, 2, [(min(q + 1, n - 1), perm[q]) for q in range(n)])
+    # x -> x + 1 mod n and x -> x with its low three bits cleared: a
+    # handover with a wide frontier, 174 pairs in two arrays
+    yield Automaton(200, 2, [((x + 1) % 200, x & ~7) for x in range(200)])
 
 
 def test_slow_growth_matches_fixpoint(monkeypatch):
     """Every oracle path gives the reference's reached array on thin,
-    deep searches, and by default C_n is handed over to the reverse CSR."""
+    deep searches.  By default C_n is handed over to the reverse CSR, and
+    so is the last case, from a frontier of many pairs in several arrays."""
     handovers = []
     build = pairgraph._csr_from_images
     monkeypatch.setattr(pairgraph, "_csr_from_images",
                         lambda *args: handovers.append(1) or build(*args))
+    frontiers = []
+    sweep = pairgraph._sweep
+    monkeypatch.setattr(pairgraph, "_sweep",
+                        lambda *args: frontiers.append(sweep(*args)) or frontiers[-1])
     cases = list(_slow_growth_cases(random.Random(11)))
     for A in cases:
         want = _fixpoint(A)
@@ -265,6 +269,11 @@ def test_slow_growth_matches_fixpoint(monkeypatch):
     handovers.clear()
     synch_slow(cases[0])
     assert handovers
+    frontiers.clear()
+    assert bytes(pairgraph._reach(cases[-1])) == _fixpoint(cases[-1])
+    (handover,) = frontiers
+    frontier = handover[2]
+    assert len(frontier) > 1 and sum(map(len, frontier)) >= 64
 
 
 def test_index_dtype_widens_before_int32_wraps():
